@@ -45,30 +45,6 @@ pub trait ChannelModel {
     fn state(&self) -> ChannelState {
         ChannelState::Good
     }
-
-    /// Advances the model through `n` idle slots (no packet on air, so
-    /// the per-slot BERs are unobserved) starting at absolute slot
-    /// `start_slot`.
-    ///
-    /// The default walks slot by slot, exactly like `n` calls to
-    /// [`ChannelModel::slot_ber`]. Implementations override this with a
-    /// per-dwell fast path; the contract is that the post-span state is
-    /// drawn from the **same distribution** as the slot-by-slot walk —
-    /// and is **bit-identical** to it for models whose idle evolution
-    /// consumes no randomness ([`MemorylessChannel`], [`PathLoss`]) or
-    /// whose draws happen only at dwell boundaries ([`Interferer`]).
-    /// [`GilbertElliott`] (and hence [`CompositeChannel`]) samples dwell
-    /// lengths geometrically instead of flipping a coin per slot, so it
-    /// consumes fewer draws: distribution-exact, not stream-identical.
-    ///
-    /// Idle evolution must not depend on the hop channel — for every
-    /// model here the hop only selects which slots an interferer *hits*,
-    /// never how its state advances.
-    fn advance_idle(&mut self, start_slot: u64, n: u64, rng: &mut SimRng) {
-        for i in 0..n {
-            let _ = self.slot_ber(start_slot + i, 0, rng);
-        }
-    }
 }
 
 /// Two-state Gilbert–Elliott burst-error process.
@@ -156,61 +132,6 @@ impl ChannelModel for GilbertElliott {
     fn state(&self) -> ChannelState {
         self.state
     }
-
-    /// O(dwell transitions) instead of O(slots): samples geometric dwell
-    /// lengths rather than flipping a coin per slot. Because dwells of a
-    /// two-state Markov chain are exactly geometric — and the residual
-    /// dwell past the span end is memoryless — the end-of-span state
-    /// (and all subsequent evolution) has exactly the slot-by-slot
-    /// distribution. Consumes one draw per completed dwell instead of
-    /// one per slot, so the raw RNG stream differs: distribution-exact,
-    /// not stream-identical.
-    fn advance_idle(&mut self, _start_slot: u64, n: u64, rng: &mut SimRng) {
-        let mut left = n;
-        while left > 0 {
-            let p_flip = match self.state {
-                ChannelState::Good => self.p_gb,
-                ChannelState::Bad => self.p_bg,
-            };
-            if p_flip <= 0.0 {
-                // Absorbing state: the per-slot walk never flips (and
-                // draws nothing either).
-                return;
-            }
-            let dwell = if p_flip >= 1.0 {
-                let p_back = match self.state {
-                    ChannelState::Good => self.p_bg,
-                    ChannelState::Bad => self.p_gb,
-                };
-                if p_back >= 1.0 {
-                    // Both states flip deterministically: pure
-                    // alternation for the rest of the span, no draws.
-                    if left % 2 == 1 {
-                        self.state = match self.state {
-                            ChannelState::Good => ChannelState::Bad,
-                            ChannelState::Bad => ChannelState::Good,
-                        };
-                    }
-                    return;
-                }
-                1 // deterministic flip each slot, no draw
-            } else {
-                // Slots until the flip: 1 + geometric failures.
-                Geometric::new(p_flip)
-                    .expect("p_flip in (0,1)")
-                    .sample(rng)
-                    .saturating_add(1)
-            };
-            if dwell > left {
-                return;
-            }
-            left -= dwell;
-            self.state = match self.state {
-                ChannelState::Good => ChannelState::Bad,
-                ChannelState::Bad => ChannelState::Good,
-            };
-        }
-    }
 }
 
 /// Distance-dependent BER floor for Class 2 radios.
@@ -256,9 +177,6 @@ impl ChannelModel for PathLoss {
     fn slot_ber(&mut self, _slot: u64, _ch: u8, _rng: &mut SimRng) -> f64 {
         self.ber_floor()
     }
-
-    /// Stateless and RNG-free: skipping idle slots is an exact no-op.
-    fn advance_idle(&mut self, _start_slot: u64, _n: u64, _rng: &mut SimRng) {}
 }
 
 /// An on/off interference source occupying a contiguous sub-band.
@@ -343,32 +261,6 @@ impl ChannelModel for Interferer {
             0.0
         }
     }
-
-    /// O(dwell boundaries) instead of O(slots), and **bit-identical** to
-    /// the per-slot walk: the hop channel only decides which slots get
-    /// hit (unobserved while idle), while the on/off process draws from
-    /// the RNG exactly when a slot lands on `remaining == 0` — the same
-    /// draws in the same order as `n` `slot_ber` calls.
-    fn advance_idle(&mut self, _start_slot: u64, n: u64, rng: &mut SimRng) {
-        let mut left = n;
-        while left > 0 {
-            if self.remaining == 0 {
-                self.on = !self.on;
-                let mean = if self.on {
-                    self.on_mean_slots
-                } else {
-                    self.off_mean_slots
-                };
-                let draw = Exponential::from_mean(mean)
-                    .expect("positive mean")
-                    .sample(rng);
-                self.remaining = draw.ceil().max(1.0) as u64;
-            }
-            let take = self.remaining.min(left);
-            self.remaining -= take;
-            left -= take;
-        }
-    }
 }
 
 /// Combines a burst process, path loss and any number of interferers.
@@ -424,19 +316,6 @@ impl ChannelModel for CompositeChannel {
     fn state(&self) -> ChannelState {
         self.burst.state()
     }
-
-    /// Advances each component over the whole span in turn. The
-    /// components evolve independently, so handing each a contiguous
-    /// block of the (iid) RNG stream instead of interleaving per slot
-    /// preserves the joint distribution: distribution-exact, not
-    /// stream-identical.
-    fn advance_idle(&mut self, start_slot: u64, n: u64, rng: &mut SimRng) {
-        self.burst.advance_idle(start_slot, n, rng);
-        self.path.advance_idle(start_slot, n, rng);
-        for i in self.interferers.iter_mut() {
-            i.advance_idle(start_slot, n, rng);
-        }
-    }
 }
 
 /// A channel with a constant BER — the *memoryless* baseline used by the
@@ -469,9 +348,6 @@ impl ChannelModel for MemorylessChannel {
     fn slot_ber(&mut self, _slot: u64, _ch: u8, _rng: &mut SimRng) -> f64 {
         self.ber
     }
-
-    /// Stateless and RNG-free: skipping idle slots is an exact no-op.
-    fn advance_idle(&mut self, _start_slot: u64, _n: u64, _rng: &mut SimRng) {}
 }
 
 #[cfg(test)]
@@ -600,128 +476,6 @@ mod tests {
         let mut r = rng();
         let mut mm = m;
         assert!((mm.slot_ber(0, 0, &mut r) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interferer_advance_idle_is_bit_identical_to_slot_walk() {
-        // The on/off process draws only at dwell boundaries, so the
-        // batched advance must consume the same draws in the same order:
-        // after the span, both copies (and both RNGs) are in identical
-        // states, verified by comparing long subsequent BER streams.
-        for span in [1u64, 7, 1_000, 123_457] {
-            let mut a = Interferer::wifi(40);
-            let mut b = a.clone();
-            let mut ra = SimRng::seed_from(0xD1CE);
-            let mut rb = SimRng::seed_from(0xD1CE);
-            for slot in 0..span {
-                let _ = a.slot_ber(slot, (slot % 79) as u8, &mut ra);
-            }
-            b.advance_idle(0, span, &mut rb);
-            for slot in span..span + 50_000 {
-                let ch = (slot % 79) as u8;
-                assert_eq!(
-                    a.slot_ber(slot, ch, &mut ra).to_bits(),
-                    b.slot_ber(slot, ch, &mut rb).to_bits(),
-                    "diverged after span {span} at slot {slot}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn memoryless_models_skip_idle_without_touching_rng() {
-        let mut m = MemorylessChannel::new(1e-3);
-        let mut p = PathLoss::new(5.0);
-        let mut r = SimRng::seed_from(7);
-        let before = r.uniform01();
-        let mut r = SimRng::seed_from(7);
-        m.advance_idle(0, 1 << 40, &mut r);
-        p.advance_idle(0, 1 << 40, &mut r);
-        assert_eq!(r.uniform01().to_bits(), before.to_bits());
-    }
-
-    #[test]
-    fn ge_advance_idle_matches_stationary_distribution() {
-        // Long spans mix the chain: the post-span state frequency over
-        // many trials must match the stationary distribution, same as
-        // the slot-by-slot walk's.
-        let mut r = rng();
-        let trials = 4000;
-        let mut bad = 0;
-        for _ in 0..trials {
-            let mut ge = GilbertElliott::new(0.02, 0.08, 0.0, 0.1);
-            ge.advance_idle(0, 2_000, &mut r);
-            if ge.state() == ChannelState::Bad {
-                bad += 1;
-            }
-        }
-        let frac = bad as f64 / trials as f64;
-        let expect = GilbertElliott::new(0.02, 0.08, 0.0, 0.1).stationary_bad();
-        assert!((frac - expect).abs() < 0.03, "frac {frac} expect {expect}");
-    }
-
-    #[test]
-    fn ge_advance_idle_short_span_flip_probability_is_exact() {
-        // Over a single-slot span the flip probability must be exactly
-        // p_gb — the truncated-geometric argument in miniature.
-        let p_gb = 0.3;
-        let mut r = rng();
-        let trials = 20_000;
-        let mut flips = 0;
-        for _ in 0..trials {
-            let mut ge = GilbertElliott::new(p_gb, 0.5, 0.0, 0.1);
-            ge.advance_idle(0, 1, &mut r);
-            if ge.state() == ChannelState::Bad {
-                flips += 1;
-            }
-        }
-        let frac = flips as f64 / trials as f64;
-        assert!((frac - p_gb).abs() < 0.015, "frac {frac}");
-    }
-
-    #[test]
-    fn ge_advance_idle_absorbing_and_deterministic_edges() {
-        // p_flip = 0: absorbing, no draws (matches chance(0.0)).
-        let mut ge = GilbertElliott::new(0.0, 0.5, 0.0, 0.1);
-        let mut r = rng();
-        let probe = SimRng::seed_from(99).uniform01();
-        ge.advance_idle(0, 1 << 30, &mut r);
-        assert_eq!(ge.state(), ChannelState::Good);
-        assert_eq!(r.uniform01().to_bits(), probe.to_bits());
-
-        // p_flip = 1 both ways: alternates every slot, no draws.
-        let mut ge = GilbertElliott::new(1.0, 1.0, 0.0, 0.1);
-        let mut r = rng();
-        ge.advance_idle(0, 5, &mut r);
-        assert_eq!(ge.state(), ChannelState::Bad);
-        ge.advance_idle(5, 4, &mut r);
-        assert_eq!(ge.state(), ChannelState::Bad);
-        let mut fresh = rng();
-        assert_eq!(r.uniform01().to_bits(), fresh.uniform01().to_bits());
-    }
-
-    #[test]
-    fn composite_advance_idle_preserves_component_statistics() {
-        let mut c = CompositeChannel::typical(5.0);
-        let mut r = rng();
-        // Alternate long idle spans with short active probes; the BERs
-        // seen while active must stay in range and both burst states
-        // must appear over time.
-        let mut saw_bad = false;
-        let mut slot = 0u64;
-        for _ in 0..3000 {
-            c.advance_idle(slot, 10_000, &mut r);
-            slot += 10_000;
-            for _ in 0..6 {
-                let ber = c.slot_ber(slot, (slot % 79) as u8, &mut r);
-                assert!((0.0..=1.0).contains(&ber));
-                slot += 1;
-            }
-            if c.burst_state() == ChannelState::Bad {
-                saw_bad = true;
-            }
-        }
-        assert!(saw_bad, "burst process never entered bad state");
     }
 
     #[test]

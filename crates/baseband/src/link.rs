@@ -80,9 +80,6 @@ pub struct LinkConfig {
     pub packet_type: PacketType,
     /// Attempts per payload before the payload is flushed (dropped).
     pub retry_limit: u32,
-    /// Fraction of piconet slots granted to this link (1.0 = sole
-    /// active slave). Lower shares space attempts further apart in time.
-    pub slot_share: f64,
 }
 
 impl LinkConfig {
@@ -91,7 +88,6 @@ impl LinkConfig {
         LinkConfig {
             packet_type,
             retry_limit: 8,
-            slot_share: 1.0,
         }
     }
 
@@ -104,24 +100,6 @@ impl LinkConfig {
         assert!(limit > 0, "retry limit must be positive");
         self.retry_limit = limit;
         self
-    }
-
-    /// Sets the slot share.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `share` is in `(0, 1]`.
-    pub fn slot_share(mut self, share: f64) -> Self {
-        assert!(share > 0.0 && share <= 1.0, "slot share in (0,1]");
-        self.slot_share = share;
-        self
-    }
-
-    /// Slots consumed per attempt including the return slot and the
-    /// waiting slots implied by the slot share.
-    pub fn slots_per_attempt(&self) -> u64 {
-        let air = self.packet_type.slots() + 1;
-        ((air as f64) / self.slot_share).ceil() as u64
     }
 }
 
@@ -156,7 +134,8 @@ pub struct TransferOutcome {
     pub undetected: u64,
     /// Total transmission attempts.
     pub attempts: u64,
-    /// Total slots consumed (including waiting slots from slot share).
+    /// Total slots consumed (each attempt's packet slots plus its
+    /// return slot).
     pub slots_used: u64,
 }
 
@@ -214,28 +193,6 @@ impl<C: ChannelModel> AclLink<C> {
         self.slot_cursor
     }
 
-    /// Advances the channel through `n` idle slots (no transmission) in
-    /// O(dwell transitions) per span via
-    /// [`ChannelModel::advance_idle`] — the "do no work for quiet time"
-    /// fast path. Exactly bit-identical to [`Self::idle_slots_reference`]
-    /// for channels whose idle evolution consumes no randomness or
-    /// draws only at dwell boundaries; distribution-exact for
-    /// burst-state channels (see the trait docs).
-    pub fn idle_slots(&mut self, n: u64, rng: &mut SimRng) {
-        self.channel.advance_idle(self.slot_cursor, n, rng);
-        self.slot_cursor += n;
-    }
-
-    /// The original slot-by-slot idle walk, retained as the reference
-    /// implementation for equivalence tests and `repro_bench`.
-    pub fn idle_slots_reference(&mut self, n: u64, rng: &mut SimRng) {
-        for _ in 0..n {
-            let ch = self.hop.channel(self.slot_cursor);
-            let _ = self.channel.slot_ber(self.slot_cursor, ch, rng);
-            self.slot_cursor += 1;
-        }
-    }
-
     /// Simulates one transmission attempt of a full-size payload.
     pub fn attempt(&mut self, rng: &mut SimRng) -> AttemptResult {
         let pt = self.cfg.packet_type;
@@ -285,12 +242,7 @@ impl<C: ChannelModel> AclLink<C> {
         let ack_bit_err = fec::repetition_error_probability(ack_ber);
         let p_ack_ok = (1.0 - ack_bit_err).powi(HEADER_BITS as i32);
 
-        // Waiting slots implied by slot share also advance the channel.
-        let total = self.cfg.slots_per_attempt();
         self.slot_cursor += n_slots + 1;
-        if total > n_slots + 1 {
-            self.idle_slots(total - (n_slots + 1), rng);
-        }
 
         if !rng.chance(p_header_ok) {
             return AttemptResult::HeaderLost;
@@ -593,12 +545,12 @@ mod tests {
     }
 
     #[test]
-    fn slot_share_spaces_attempts() {
-        let cfg = LinkConfig::new(PacketType::Dh1).slot_share(0.25);
-        assert_eq!(cfg.slots_per_attempt(), 8);
+    fn attempts_use_packet_and_return_slots() {
+        let cfg = LinkConfig::new(PacketType::Dh3);
         let mut link = AclLink::new(cfg, MemorylessChannel::new(0.0), HopSequence::new(1));
         let out = link.send_payloads(10, &mut rng());
-        assert_eq!(out.slots_used, 80);
+        assert_eq!(out.slots_used, 40);
+        assert_eq!(link.slot_cursor(), 40);
     }
 
     #[test]
@@ -721,98 +673,5 @@ mod tests {
         assert_eq!(prof.sample_first_drop(1_000_000, &mut r), None);
         assert_eq!(prof.sample_undetected(1_000_000, &mut r), 0);
         assert_eq!(prof.p_transfer_clean(1_000_000), 1.0);
-    }
-
-    #[test]
-    fn idle_slots_advance_cursor() {
-        let mut link = quiet_link(PacketType::Dh1);
-        link.idle_slots(10, &mut rng());
-        assert_eq!(link.slot_cursor(), 10);
-    }
-
-    #[test]
-    fn fast_idle_bit_identical_to_reference_for_rng_free_channel() {
-        // Memoryless channels draw nothing while idle, so the skip is
-        // exactly the reference walk: same cursor, same RNG state, and
-        // therefore identical subsequent transfers.
-        let mut fast = AclLink::new(
-            LinkConfig::new(PacketType::Dh3),
-            MemorylessChannel::new(1e-3),
-            HopSequence::new(77),
-        );
-        let mut slow = AclLink::new(
-            LinkConfig::new(PacketType::Dh3),
-            MemorylessChannel::new(1e-3),
-            HopSequence::new(77),
-        );
-        let mut rf = rng();
-        let mut rs = rng();
-        for span in [1u64, 999, 1_000_000] {
-            fast.idle_slots(span, &mut rf);
-            slow.idle_slots_reference(span, &mut rs);
-            assert_eq!(fast.slot_cursor(), slow.slot_cursor());
-            let a = fast.send_payloads(20, &mut rf);
-            let b = slow.send_payloads(20, &mut rs);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn fast_idle_bit_identical_to_reference_for_interferer() {
-        use crate::channel::Interferer;
-        let mk = || {
-            AclLink::new(
-                LinkConfig::new(PacketType::Dh1),
-                Interferer::wifi(39),
-                HopSequence::new(0xBEEF),
-            )
-        };
-        let mut fast = mk();
-        let mut slow = mk();
-        let mut rf = rng();
-        let mut rs = rng();
-        for span in [3u64, 50_000, 1_000_000] {
-            fast.idle_slots(span, &mut rf);
-            slow.idle_slots_reference(span, &mut rs);
-            let a = fast.send_payloads(50, &mut rf);
-            let b = slow.send_payloads(50, &mut rs);
-            assert_eq!(a, b, "diverged after idle span {span}");
-        }
-    }
-
-    #[test]
-    fn fast_idle_with_burst_channel_keeps_transfer_statistics() {
-        // GE idle skipping is distribution-exact, not stream-identical:
-        // aggregate drop behavior over many idle/transfer rounds must
-        // match the reference walk within sampling noise.
-        let run = |fast: bool| {
-            let mut link = AclLink::new(
-                LinkConfig::new(PacketType::Dh1).retry_limit(2),
-                GilbertElliott::new(2e-3, 0.02, 1e-6, 0.2),
-                HopSequence::new(9),
-            );
-            let mut r = rng();
-            let mut delivered = 0u64;
-            let mut attempts = 0u64;
-            for _ in 0..400 {
-                if fast {
-                    link.idle_slots(5_000, &mut r);
-                } else {
-                    link.idle_slots_reference(5_000, &mut r);
-                }
-                let out = link.send_payloads(40, &mut r);
-                delivered += out.payloads_delivered;
-                attempts += out.attempts;
-            }
-            (delivered, attempts)
-        };
-        let (df, af) = run(true);
-        let (ds, as_) = run(false);
-        let rate_f = df as f64 / af as f64;
-        let rate_s = ds as f64 / as_ as f64;
-        assert!(
-            (rate_f - rate_s).abs() < 0.02,
-            "delivery-per-attempt diverged: fast {rate_f} vs reference {rate_s}"
-        );
     }
 }

@@ -1,16 +1,15 @@
-//! Piconet membership and TDD slot allocation.
+//! Piconet membership and scatternet bridges.
 //!
 //! A piconet has one master and up to seven *active* slaves, each holding
 //! a 3-bit active member address (`AM_ADDR`). The master polls slaves in
-//! a round-robin TDD schedule, so concurrently active ACL transfers share
-//! the 1600 slots/s — the contention model the PAN testbed lives under
-//! (the NAP `Giallo` is the master; the six PANUs are slaves).
+//! a round-robin TDD schedule over the 1600 slots/s (the NAP `Giallo` is
+//! the master; the six PANUs are slaves).
 //!
 //! The PAN profile's *role switch* matters here: a PANU initiating a
 //! connection is initially master and must hand the master role to the
-//! NAP so the NAP can keep serving up to seven PANUs; the stack layer
-//! drives that procedure, while this module enforces the invariant that
-//! membership and addressing stay consistent.
+//! NAP so the NAP can keep serving up to seven PANUs; this module
+//! enforces the invariant that membership and addressing stay
+//! consistent through that switch.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -68,8 +67,6 @@ pub struct Piconet {
     master: u64,
     /// AM_ADDR → device id.
     slaves: BTreeMap<u8, u64>,
-    /// Devices with a transfer in flight (affects slot shares).
-    active_transfers: BTreeMap<u64, ()>,
 }
 
 impl Piconet {
@@ -78,7 +75,6 @@ impl Piconet {
         Piconet {
             master,
             slaves: BTreeMap::new(),
-            active_transfers: BTreeMap::new(),
         }
     }
 
@@ -128,7 +124,6 @@ impl Piconet {
             .find_map(|(&a, &d)| (d == device).then_some(a))
             .ok_or(PiconetError::NotAMember)?;
         self.slaves.remove(&addr);
-        self.active_transfers.remove(&device);
         Ok(())
     }
 
@@ -150,39 +145,6 @@ impl Piconet {
         self.slaves.insert(addr, old_master);
         self.master = new_master;
         Ok(())
-    }
-
-    /// Marks a slave's transfer as started (it now competes for slots).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the device is not a member.
-    pub fn begin_transfer(&mut self, device: u64) -> Result<(), PiconetError> {
-        if !self.is_slave(device) {
-            return Err(PiconetError::NotAMember);
-        }
-        self.active_transfers.insert(device, ());
-        Ok(())
-    }
-
-    /// Marks a slave's transfer as finished.
-    pub fn end_transfer(&mut self, device: u64) {
-        self.active_transfers.remove(&device);
-    }
-
-    /// Number of transfers currently competing for slots.
-    pub fn active_transfer_count(&self) -> usize {
-        self.active_transfers.len()
-    }
-
-    /// The TDD slot share granted to `device` for a new or ongoing
-    /// transfer: `1 / max(1, concurrent transfers including this one)`.
-    pub fn slot_share_for(&self, device: u64) -> f64 {
-        let mut n = self.active_transfer_count();
-        if !self.active_transfers.contains_key(&device) {
-            n += 1;
-        }
-        1.0 / n.max(1) as f64
     }
 }
 
@@ -436,33 +398,6 @@ mod tests {
         assert!(p.is_slave(7));
         assert_eq!(p.slave_count(), 1);
         assert_eq!(p.switch_role(999), Err(PiconetError::NotAMember));
-    }
-
-    #[test]
-    fn slot_share_divides_among_active_transfers() {
-        let mut p = Piconet::new(100);
-        for d in 1..=4 {
-            p.join(d).unwrap();
-        }
-        assert_eq!(p.slot_share_for(1), 1.0);
-        p.begin_transfer(1).unwrap();
-        assert_eq!(p.slot_share_for(1), 1.0);
-        p.begin_transfer(2).unwrap();
-        assert_eq!(p.slot_share_for(1), 0.5);
-        // A third, not-yet-started transfer sees a 1/3 share.
-        assert!((p.slot_share_for(3) - 1.0 / 3.0).abs() < 1e-12);
-        p.end_transfer(1);
-        assert_eq!(p.slot_share_for(2), 1.0);
-    }
-
-    #[test]
-    fn transfer_bookkeeping_requires_membership() {
-        let mut p = Piconet::new(100);
-        assert_eq!(p.begin_transfer(5), Err(PiconetError::NotAMember));
-        p.join(5).unwrap();
-        p.begin_transfer(5).unwrap();
-        p.leave(5).unwrap();
-        assert_eq!(p.active_transfer_count(), 0, "leave clears transfers");
     }
 
     #[test]

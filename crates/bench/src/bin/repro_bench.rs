@@ -1,73 +1,30 @@
-//! Hot-path throughput measurements for the campaign pipeline.
+//! Throughput measurements for the campaign pipeline.
 //!
-//! Covers the four stages a long campaign spends its time in, each
-//! against the slow path it replaced:
+//! Covers the stages a long campaign spends its time in:
 //!
-//! 1. **baseband slots/s** — the idle-slot fast path
-//!    (`AclLink::idle_slots`, O(1)/O(dwell) per quiet span) vs the
-//!    slot-by-slot reference walk, on a Table-4-shaped duty cycle
-//!    (short transfers separated by long quiet spans under the
-//!    burst-boosted Gilbert–Elliott channel);
-//! 2. **engine events/s** — the indexed event-wheel scheduler vs the
-//!    binary-heap strategy, on a chained-timer workload;
-//! 3. **campaign seeds/s** — full `Campaign::run` columns as Table 4
+//! 1. **campaign seeds/s** — full `Campaign::run` columns as Table 4
 //!    drives them (several policies over the same seeds), where the
 //!    memoized loss calibration removes the dominant per-seed cost;
-//! 4. **collect/stream records/s** — JSONL trace import/export and the
+//! 2. **multi-piconet piconet-seeds/s** — the 3-piconet scatternet;
+//! 3. **collect/stream records/s** — JSONL trace import/export and the
 //!    chunked tail-framing path.
 //!
-//! Every speedup claim is guarded by an equivalence check (bit-identical
-//! transfer outcomes across idle paths, identical event orders across
-//! queue strategies, byte-identical re-export); a failed check fails
-//! the run. `--quick` shrinks the workloads and additionally enforces
-//! the CI floor: idle-path speedup >= 3x and an absolute slots/s floor
-//! at roughly half the committed baseline, so perf regressions fail CI
-//! while machine variance does not.
+//! The re-export equivalence check (import then export reproduces the
+//! trace byte for byte) fails the run when it does not hold. `--quick`
+//! shrinks the workloads.
 //!
-//! Writes `BENCH_PR4.json` into the current directory.
+//! Prints the report as JSON on stdout; progress goes to stderr.
 
-use btpan_baseband::channel::{ChannelModel, GilbertElliott, Interferer, MemorylessChannel};
-use btpan_baseband::hop::HopSequence;
-use btpan_baseband::link::{AclLink, LinkConfig};
-use btpan_baseband::packet::PacketType;
 use btpan_collect::trace::{export_trace, import_trace, repository_from_records};
 use btpan_core::campaign::{Campaign, CampaignConfig, LossModel};
-use btpan_core::experiment::Scale;
 use btpan_recovery::RecoveryPolicy;
-use btpan_sim::engine::{Engine, EventHandler, QueueStrategy, Scheduler};
 use btpan_sim::prelude::*;
-use btpan_sim::time::{SimDuration, SimTime};
+use btpan_sim::time::SimDuration;
 use btpan_stream::LineFramer;
 use btpan_workload::WorkloadKind;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Quick-mode CI floors: the fast idle path must beat the reference by
-/// at least this factor...
-const FLOOR_IDLE_SPEEDUP: f64 = 3.0;
-/// ...and sustain at least this many slots/s outright. The committed
-/// baseline (BENCH_PR4.json) is ~3e9; the slot-by-slot reference walk
-/// tops out near 2e8, so this floor sits safely above any O(n) revert
-/// while leaving ~6x headroom for slower CI machines.
-const FLOOR_IDLE_SLOTS_PER_S: f64 = 500_000_000.0;
-
-#[derive(Serialize)]
-struct IdleBench {
-    table4_spans: u64,
-    slots_total: u64,
-    ref_slots_per_s: f64,
-    fast_slots_per_s: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct EngineBench {
-    events: u64,
-    heap_events_per_s: f64,
-    wheel_events_per_s: f64,
-    speedup: f64,
-}
 
 #[derive(Serialize)]
 struct CampaignBench {
@@ -96,136 +53,16 @@ struct CollectBench {
 
 #[derive(Serialize)]
 struct Equivalence {
-    idle_memoryless_bit_identical: bool,
-    idle_interferer_bit_identical: bool,
-    wheel_heap_identical_order: bool,
     reexport_byte_identical: bool,
 }
 
 #[derive(Serialize)]
 struct Report {
     mode: &'static str,
-    idle: IdleBench,
-    engine: EngineBench,
     campaign: CampaignBench,
     topology: TopologyBench,
     collect: CollectBench,
     equivalence: Equivalence,
-}
-
-/// Table-4-shaped link: the calibration channel and hop key, DM1 under
-/// ARQ, exactly as `LossModel::calibrate` runs it.
-fn table4_link() -> AclLink<GilbertElliott> {
-    AclLink::new(
-        LinkConfig::new(PacketType::Dm1).retry_limit(4),
-        GilbertElliott::new(1e-2, 0.08, 5e-6, 0.12),
-        HopSequence::new(0xCA11B),
-    )
-}
-
-/// One Table-4 duty cycle: a short burst of payloads, then a quiet
-/// span. Returns slots consumed.
-fn duty_cycle<C: ChannelModel>(
-    link: &mut AclLink<C>,
-    rng: &mut SimRng,
-    quiet_slots: u64,
-    fast: bool,
-) -> u64 {
-    let before = link.slot_cursor();
-    black_box(link.send_payloads(8, rng));
-    if fast {
-        link.idle_slots(quiet_slots, rng);
-    } else {
-        link.idle_slots_reference(quiet_slots, rng);
-    }
-    link.slot_cursor() - before
-}
-
-fn bench_idle(spans: u64, quiet_slots: u64) -> IdleBench {
-    let mut ref_slots = 0u64;
-    let mut link = table4_link();
-    let mut rng = SimRng::seed_from(0xB4);
-    let start = Instant::now();
-    for _ in 0..spans {
-        ref_slots += duty_cycle(&mut link, &mut rng, quiet_slots, false);
-    }
-    let ref_elapsed = start.elapsed().as_secs_f64();
-
-    let mut link = table4_link();
-    let mut rng = SimRng::seed_from(0xB4);
-    let mut fast_slots = 0u64;
-    let start = Instant::now();
-    for _ in 0..spans {
-        fast_slots += duty_cycle(&mut link, &mut rng, quiet_slots, true);
-    }
-    let fast_elapsed = start.elapsed().as_secs_f64();
-    // The burst channel's idle skip is distribution-exact, not
-    // stream-identical, so retransmit counts (and thus slot totals) may
-    // drift by a few slots per million; each arm rates its own total.
-    let drift = ref_slots.abs_diff(fast_slots) as f64 / ref_slots as f64;
-    assert!(drift < 1e-3, "slot totals diverged by {drift:.2e}");
-
-    let ref_rate = ref_slots as f64 / ref_elapsed;
-    let fast_rate = fast_slots as f64 / fast_elapsed;
-    IdleBench {
-        table4_spans: spans,
-        slots_total: ref_slots,
-        ref_slots_per_s: ref_rate,
-        fast_slots_per_s: fast_rate,
-        speedup: fast_rate / ref_rate,
-    }
-}
-
-struct ChainWorld {
-    handled: u64,
-    budget: u64,
-}
-
-impl EventHandler<u32> for ChainWorld {
-    fn handle(&mut self, _now: SimTime, lane: u32, s: &mut Scheduler<u32>) {
-        self.handled += 1;
-        if self.handled < self.budget {
-            // Mixed horizons: most events land within the wheel's lap,
-            // a few jump far ahead (overflow heap).
-            let slots = match lane % 7 {
-                0 => 40_000, // beyond one lap
-                1..=3 => 1,
-                _ => 16,
-            };
-            s.schedule_after(SimDuration::from_slots(slots), lane.wrapping_add(1));
-        }
-    }
-}
-
-fn run_engine(strategy: QueueStrategy, events: u64) -> (f64, u64) {
-    let mut engine: Engine<u32> = Engine::with_strategy(strategy);
-    for lane in 0..64u32 {
-        engine.scheduler().schedule_at(
-            SimTime::ZERO + SimDuration::from_slots(u64::from(lane)),
-            lane,
-        );
-    }
-    let mut world = ChainWorld {
-        handled: 0,
-        budget: events,
-    };
-    let start = Instant::now();
-    engine.run_until(SimTime::from_secs(u64::MAX / 2_000_000), &mut world);
-    (start.elapsed().as_secs_f64(), world.handled)
-}
-
-fn bench_engine(events: u64) -> EngineBench {
-    let (heap_s, heap_n) = run_engine(QueueStrategy::BinaryHeap, events);
-    let (wheel_s, wheel_n) = run_engine(QueueStrategy::Wheel, events);
-    assert_eq!(heap_n, wheel_n, "strategies must process the same events");
-    let heap_rate = heap_n as f64 / heap_s;
-    let wheel_rate = wheel_n as f64 / wheel_s;
-    EngineBench {
-        events: wheel_n,
-        heap_events_per_s: heap_rate,
-        wheel_events_per_s: wheel_rate,
-        speedup: wheel_rate / heap_rate,
-    }
 }
 
 fn bench_campaign(seeds: &[u64], hours: u64) -> CampaignBench {
@@ -345,99 +182,15 @@ fn bench_collect(seeds: &[u64], hours: u64) -> (CollectBench, bool) {
     )
 }
 
-/// Bit-identity of the idle fast path for channels whose idle evolution
-/// is RNG-free (memoryless) or dwell-boundary-only (interferer):
-/// interleave transfers and idle spans on both arms and require equal
-/// outcomes *and* an equal downstream RNG stream.
-fn check_idle_bit_identity<C: ChannelModel + Clone>(channel: C) -> bool {
-    let spans = [1u64, 7, 625, 99_991];
-    let cfg = || LinkConfig::new(PacketType::Dh3).retry_limit(3);
-    let hop = HopSequence::new(0xFEED);
-    let mut fast = AclLink::new(cfg(), channel.clone(), hop);
-    let mut refr = AclLink::new(cfg(), channel, hop);
-    let mut rng_fast = SimRng::seed_from(77);
-    let mut rng_ref = SimRng::seed_from(77);
-    for &n in &spans {
-        let a = fast.send_payloads(5, &mut rng_fast);
-        let b = refr.send_payloads(5, &mut rng_ref);
-        if a != b {
-            return false;
-        }
-        fast.idle_slots(n, &mut rng_fast);
-        refr.idle_slots_reference(n, &mut rng_ref);
-    }
-    fast.slot_cursor() == refr.slot_cursor() && rng_fast.uniform01() == rng_ref.uniform01()
-}
-
-/// Event-order identity between wheel and heap on a mixed schedule.
-fn check_wheel_heap_identity() -> bool {
-    struct Recorder(Vec<(u64, u32)>);
-    impl EventHandler<u32> for Recorder {
-        fn handle(&mut self, now: SimTime, ev: u32, s: &mut Scheduler<u32>) {
-            self.0.push((now.as_micros(), ev));
-            if ev.is_multiple_of(5) && ev < 400 {
-                s.schedule_after(
-                    SimDuration::from_slots(u64::from(ev % 17) * 613 + 1),
-                    ev + 1,
-                );
-            }
-        }
-    }
-    let run = |strategy| {
-        let mut engine: Engine<u32> = Engine::with_strategy(strategy);
-        let mut state = 0x0123_4567_89AB_CDEF_u64;
-        for ev in 0..500u32 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let micros = match ev % 4 {
-                0 => state % 625,                       // same-bucket collisions
-                1 => 625 * (state % 4096),              // within one lap
-                2 => 625 * 4096 + state % 10_000_000,   // next laps
-                _ => 3_600_000_000 + state % 1_000_000, // far future
-            };
-            engine
-                .scheduler()
-                .schedule_at(SimTime::from_micros(micros), ev);
-        }
-        let mut world = Recorder(Vec::new());
-        engine.run_until(SimTime::from_secs(100_000), &mut world);
-        world.0
-    };
-    run(QueueStrategy::Wheel) == run(QueueStrategy::BinaryHeap)
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let _ = Scale::quick(); // keep the experiment-scale types linked
     btpan_obs::Registry::global().disable();
 
-    let (spans, quiet, events, seeds, camp_hours, collect_hours): (
-        u64,
-        u64,
-        u64,
-        Vec<u64>,
-        u64,
-        u64,
-    ) = if quick {
-        (40, 100_000, 300_000, vec![11, 22], 1, 1)
+    let (seeds, camp_hours, collect_hours): (Vec<u64>, u64, u64) = if quick {
+        (vec![11, 22], 1, 1)
     } else {
-        (200, 250_000, 3_000_000, vec![11, 22, 33, 44], 4, 4)
+        (vec![11, 22, 33, 44], 4, 4)
     };
-
-    eprintln!("repro_bench: idle-slot fast path ({spans} Table-4 duty cycles)...");
-    let idle = bench_idle(spans, quiet);
-    eprintln!(
-        "  reference {:.2e} slots/s, fast {:.2e} slots/s, speedup {:.1}x",
-        idle.ref_slots_per_s, idle.fast_slots_per_s, idle.speedup
-    );
-
-    eprintln!("repro_bench: event-wheel scheduler ({events} chained events)...");
-    let engine = bench_engine(events);
-    eprintln!(
-        "  heap {:.2e} ev/s, wheel {:.2e} ev/s, speedup {:.2}x",
-        engine.heap_events_per_s, engine.wheel_events_per_s, engine.speedup
-    );
 
     eprintln!(
         "repro_bench: campaign columns ({} seeds x 3 policies, {camp_hours} h)...",
@@ -469,71 +222,23 @@ fn main() {
         collect.records
     );
 
-    eprintln!("repro_bench: equivalence checks...");
-    let equivalence = Equivalence {
-        idle_memoryless_bit_identical: check_idle_bit_identity(MemorylessChannel::new(2e-5)),
-        idle_interferer_bit_identical: check_idle_bit_identity(Interferer::wifi(39)),
-        wheel_heap_identical_order: check_wheel_heap_identity(),
-        reexport_byte_identical: reexport_ok,
-    };
-
-    let mut failed = false;
-    for (name, ok) in [
-        (
-            "idle_memoryless_bit_identical",
-            equivalence.idle_memoryless_bit_identical,
-        ),
-        (
-            "idle_interferer_bit_identical",
-            equivalence.idle_interferer_bit_identical,
-        ),
-        (
-            "wheel_heap_identical_order",
-            equivalence.wheel_heap_identical_order,
-        ),
-        (
-            "reexport_byte_identical",
-            equivalence.reexport_byte_identical,
-        ),
-    ] {
-        if !ok {
-            eprintln!("FAIL: equivalence check {name}");
-            failed = true;
-        }
-    }
-
-    if quick {
-        if idle.speedup < FLOOR_IDLE_SPEEDUP {
-            eprintln!(
-                "FAIL: idle fast path speedup {:.2}x below the {FLOOR_IDLE_SPEEDUP}x floor",
-                idle.speedup
-            );
-            failed = true;
-        }
-        if idle.fast_slots_per_s < FLOOR_IDLE_SLOTS_PER_S {
-            eprintln!(
-                "FAIL: fast idle path {:.2e} slots/s below the {FLOOR_IDLE_SLOTS_PER_S:.0e} floor",
-                idle.fast_slots_per_s
-            );
-            failed = true;
-        }
-    }
-
     let report = Report {
         mode: if quick { "quick" } else { "full" },
-        idle,
-        engine,
         campaign,
         topology,
         collect,
-        equivalence,
+        equivalence: Equivalence {
+            reexport_byte_identical: reexport_ok,
+        },
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_PR4.json", format!("{json}\n")).expect("write BENCH_PR4.json");
-    println!("{json}");
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&report).expect("report serializes")
+    );
 
-    if failed {
+    if !reexport_ok {
+        eprintln!("FAIL: equivalence check reexport_byte_identical");
         std::process::exit(1);
     }
-    println!("repro_bench: ok");
+    eprintln!("repro_bench: ok");
 }

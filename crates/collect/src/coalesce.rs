@@ -9,9 +9,20 @@
 //! split over several tuples) against **collapse** (too large: events of
 //! independent errors merge) — the trade-off the sensitivity analysis of
 //! Fig. 2 navigates.
+//!
+//! The sliding rule has one implementation, [`OnlineCoalescer`], which
+//! takes one record at a time. The batch [`coalesce`] is `push` over
+//! the records followed by `finish`, so batch and streaming coalescence
+//! agree by construction. [`OnlineCoalescer::advance`] additionally
+//! closes the open tuple once a watermark `w` guarantees
+//! `w - last > window`: every record that arrives after `advance(w)` has
+//! `at > w`, so its gap from `last` also exceeds the window and the
+//! batch rule would have closed the tuple at that record anyway. Early
+//! closing therefore never changes the tuple partition, only *when* a
+//! tuple becomes observable.
 
 use crate::entry::LogRecord;
-use btpan_sim::time::SimDuration;
+use btpan_sim::time::{SimDuration, SimTime};
 
 /// One tuple: a maximal run of records whose consecutive gaps are all
 /// within the coalescence window.
@@ -50,33 +61,137 @@ impl Tuple {
     }
 }
 
+/// Online sliding-window coalescer over a time-sorted record stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OnlineCoalescer {
+    window: SimDuration,
+    current: Vec<LogRecord>,
+    last_at: Option<SimTime>,
+}
+
+impl OnlineCoalescer {
+    /// An empty coalescer with the given window.
+    pub fn new(window: SimDuration) -> Self {
+        OnlineCoalescer {
+            window,
+            current: Vec::new(),
+            last_at: None,
+        }
+    }
+
+    /// A coalescer whose open tuple is pre-seeded with `records` (used
+    /// to hand a late-joining node the NAP's still-active error chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `records` is not time-sorted.
+    pub fn seeded(window: SimDuration, records: Vec<LogRecord>) -> Self {
+        debug_assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
+        let last_at = records.last().map(|r| r.at);
+        OnlineCoalescer {
+            window,
+            current: records,
+            last_at,
+        }
+    }
+
+    /// Rebuilds a coalescer from checkpointed state.
+    pub fn from_parts(
+        window: SimDuration,
+        current: Vec<LogRecord>,
+        last_at: Option<SimTime>,
+    ) -> Self {
+        OnlineCoalescer {
+            window,
+            current,
+            last_at,
+        }
+    }
+
+    /// Feeds the next record; returns the previous tuple if `rec`'s gap
+    /// from it exceeds the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `rec` precedes the last pushed record.
+    pub fn push(&mut self, rec: LogRecord) -> Option<Tuple> {
+        let mut closed = None;
+        if let Some(last) = self.last_at {
+            debug_assert!(rec.at >= last, "coalesce input not time-sorted");
+            if !self.current.is_empty() && rec.at.saturating_since(last) > self.window {
+                closed = Some(Tuple {
+                    records: std::mem::take(&mut self.current),
+                });
+            }
+        }
+        self.last_at = Some(rec.at);
+        self.current.push(rec);
+        closed
+    }
+
+    /// Closes the open tuple early once the watermark proves no future
+    /// record can join it (`watermark - last > window`).
+    pub fn advance(&mut self, watermark: SimTime) -> Option<Tuple> {
+        match self.last_at {
+            Some(last)
+                if !self.current.is_empty() && watermark.saturating_since(last) > self.window =>
+            {
+                Some(Tuple {
+                    records: std::mem::take(&mut self.current),
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// End of stream: closes and returns the open tuple, if any.
+    pub fn finish(&mut self) -> Option<Tuple> {
+        if self.current.is_empty() {
+            None
+        } else {
+            Some(Tuple {
+                records: std::mem::take(&mut self.current),
+            })
+        }
+    }
+
+    /// True when no tuple is open.
+    pub fn is_idle(&self) -> bool {
+        self.current.is_empty()
+    }
+
+    /// Records buffered in the open tuple.
+    pub fn buffered(&self) -> usize {
+        self.current.len()
+    }
+
+    /// The open tuple's records (checkpoint capture).
+    pub fn buffered_records(&self) -> &[LogRecord] {
+        &self.current
+    }
+
+    /// Timestamp of the most recently pushed record (checkpoint capture).
+    pub fn last_at(&self) -> Option<SimTime> {
+        self.last_at
+    }
+}
+
 /// Coalesces a **time-sorted** record stream with the given window,
 /// using the *sliding* (gap-based) rule: an event joins the tuple if it
 /// is within `window` of the tuple's **last** event. This is the scheme
-/// the paper adopts.
+/// the paper adopts; it runs [`OnlineCoalescer::push`] over `records`
+/// and then [`OnlineCoalescer::finish`].
 ///
 /// # Panics
 ///
 /// Panics (debug) if the input is not sorted by time.
 pub fn coalesce(records: &[LogRecord], window: SimDuration) -> Vec<Tuple> {
-    let mut tuples: Vec<Tuple> = Vec::new();
-    let mut current: Vec<LogRecord> = Vec::new();
-    let mut last_at = None;
-    for rec in records {
-        if let Some(last) = last_at {
-            debug_assert!(rec.at >= last, "coalesce input not time-sorted");
-            if rec.at.saturating_since(last) > window {
-                tuples.push(Tuple {
-                    records: std::mem::take(&mut current),
-                });
-            }
-        }
-        last_at = Some(rec.at);
-        current.push(rec.clone());
-    }
-    if !current.is_empty() {
-        tuples.push(Tuple { records: current });
-    }
+    let mut online = OnlineCoalescer::new(window);
+    let mut tuples: Vec<Tuple> = records
+        .iter()
+        .filter_map(|rec| online.push(rec.clone()))
+        .collect();
+    tuples.extend(online.finish());
     tuples
 }
 
@@ -93,7 +208,7 @@ pub fn coalesce_fixed_window(records: &[LogRecord], window: SimDuration) -> Vec<
     let mut tuples: Vec<Tuple> = Vec::new();
     let mut current: Vec<LogRecord> = Vec::new();
     let mut tuple_start = None;
-    let mut last_at: Option<btpan_sim::time::SimTime> = None;
+    let mut last_at: Option<SimTime> = None;
     for rec in records {
         if let Some(last) = last_at {
             debug_assert!(rec.at >= last, "coalesce input not time-sorted");
@@ -247,6 +362,68 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         assert!(coalesce(&[], SimDuration::from_secs(10)).is_empty());
+    }
+
+    #[test]
+    fn advance_before_push_matches_batch() {
+        // A watermark at the incoming record's time closes exactly the
+        // tuples the push rule would close.
+        let records: Vec<LogRecord> = [0u64, 3, 9, 11, 40, 41, 90, 300, 301, 302]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| rec(i as u64, s))
+            .collect();
+        for w in [0u64, 1, 5, 10, 30, 100, 500] {
+            let window = SimDuration::from_secs(w);
+            let mut c = OnlineCoalescer::new(window);
+            let mut tuples = Vec::new();
+            for r in &records {
+                tuples.extend(c.advance(r.at));
+                tuples.extend(c.push(r.clone()));
+            }
+            tuples.extend(c.finish());
+            assert_eq!(tuples, coalesce(&records, window), "window {w}");
+        }
+    }
+
+    #[test]
+    fn advance_closes_only_dead_tuples() {
+        let window = SimDuration::from_secs(30);
+        let mut c = OnlineCoalescer::new(window);
+        assert!(c.push(rec(0, 100)).is_none());
+        // Watermark within the window of the last record: still open.
+        assert!(c.advance(SimTime::from_secs(120)).is_none());
+        assert_eq!(c.buffered(), 1);
+        // Watermark past last + window: the tuple can never grow again.
+        let t = c.advance(SimTime::from_secs(131)).expect("closed");
+        assert_eq!(t.len(), 1);
+        assert!(c.is_idle());
+        // Idempotent on an empty coalescer.
+        assert!(c.advance(SimTime::from_secs(10_000)).is_none());
+    }
+
+    #[test]
+    fn push_after_advance_starts_fresh_tuple() {
+        let window = SimDuration::from_secs(30);
+        let mut c = OnlineCoalescer::new(window);
+        c.push(rec(0, 100));
+        c.advance(SimTime::from_secs(200)).expect("closed");
+        assert!(c.push(rec(1, 250)).is_none(), "no double close");
+        assert_eq!(c.buffered(), 1);
+    }
+
+    #[test]
+    fn seeded_chain_joins_or_splits_by_gap() {
+        let window = SimDuration::from_secs(30);
+        // Record within the window of the seed chain: joins it.
+        let mut c = OnlineCoalescer::seeded(window, vec![rec(0, 90), rec(1, 100)]);
+        assert!(c.push(rec(2, 120)).is_none());
+        assert_eq!(c.buffered(), 3);
+        // Record past the window: the pure-seed tuple closes first.
+        let mut c = OnlineCoalescer::seeded(window, vec![rec(0, 100)]);
+        let closed = c.push(rec(1, 200)).expect("seed tuple closed");
+        assert_eq!(closed.len(), 1);
+        assert_eq!(c.buffered(), 1);
     }
 
     #[test]

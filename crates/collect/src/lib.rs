@@ -44,7 +44,7 @@ pub mod trace;
 
 pub use analyzer::LogAnalyzer;
 pub use chaos::{inject, ship_through_chaos, ChaosConfig, ChaosStats};
-pub use coalesce::{coalesce, coalesce_fixed_window, truncation_rate, Tuple};
+pub use coalesce::{coalesce, coalesce_fixed_window, truncation_rate, OnlineCoalescer, Tuple};
 pub use entry::{LogRecord, RecordPayload, SystemLogEntry, TestLogEntry};
 pub use logs::{SystemLog, TestLog};
 pub use merge::merge_records;

@@ -44,6 +44,7 @@ use btpan_collect::trace::{
 use btpan_faults::{CauseSite, SystemComponent, UserFailure};
 use btpan_obs::{BucketSnapshot, EventRecord, HistogramSnapshot, Registry, Snapshot};
 use btpan_recovery::RecoveryPolicy;
+use btpan_sim::config::ConfigError;
 use btpan_sim::time::SimDuration;
 use btpan_stream::{Checkpoint, LineFramer, StreamConfig, StreamEngine, StreamSnapshot};
 use btpan_workload::WorkloadKind;
@@ -152,12 +153,28 @@ fn parse_policy(args: &[String]) -> Result<RecoveryPolicy, CliError> {
     }
 }
 
+/// Parses `--hours` into a simulated duration. A value whose seconds
+/// overflow `u64` is a usage error rather than a silent wrap.
+fn parse_hours(args: &[String], default: u64) -> Result<(u64, SimDuration), CliError> {
+    let hours = parse_u64(args, "--hours", default)?;
+    let secs = hours
+        .checked_mul(3600)
+        .ok_or_else(|| CliError::Usage(format!("--hours {hours} overflows the simulated clock")))?;
+    Ok((hours, SimDuration::from_secs(secs)))
+}
+
 fn scale_from(args: &[String]) -> Result<Scale, CliError> {
     let seeds = parse_u64(args, "--seeds", 2)?;
-    let hours = parse_u64(args, "--hours", 24)?;
+    let (_, duration) = parse_hours(args, 24)?;
+    if seeds == 0 {
+        return Err(ConfigError::new("seeds", "must be at least 1").into());
+    }
+    if duration.as_micros() == 0 {
+        return Err(ConfigError::new("duration", "must be positive").into());
+    }
     Ok(Scale {
         seeds: (1..=seeds).map(|k| k * 7).collect(),
-        duration: SimDuration::from_secs(hours * 3600),
+        duration,
     })
 }
 
@@ -239,22 +256,33 @@ fn parse_topology(args: &[String]) -> Result<Option<Topology>, CliError> {
 fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let workload = parse_workload(args)?;
     let policy = parse_policy(args)?;
-    let hours = parse_u64(args, "--hours", 12)?;
+    let (hours, duration) = parse_hours(args, 12)?;
     let seed = parse_u64(args, "--seed", 42)?;
-    let metrics_out = flag_value(args, "--metrics-out");
-    let prior_metrics = metrics_out.is_some().then(activate_metrics);
     // --topology overrides --workload (the topology names each
     // piconet's workload itself).
-    let config = match parse_topology(args)? {
-        Some(topo) => CampaignConfig::with_topology(seed, topo, policy),
-        None => CampaignConfig::paper(seed, workload, policy),
+    let mut builder = CampaignConfig::builder(seed, workload, policy).duration(duration);
+    if let Some(topo) = parse_topology(args)? {
+        builder = builder.topology(topo);
     }
-    .duration(SimDuration::from_secs(hours * 3600));
+    let config = builder.build()?;
+    let metrics_out = flag_value(args, "--metrics-out");
+    let prior_metrics = metrics_out.is_some().then(activate_metrics);
     let topology = std::sync::Arc::clone(&config.topology);
     let result = Campaign::new(config).run();
     let series = result.piconet_series();
     let mttf = series.ttf_stats().mean().unwrap_or(f64::INFINITY);
     let mttr = series.ttr_stats().mean().unwrap_or(0.0);
+    let mut exported = None;
+    if let Some(path) = flag_value(args, "--export") {
+        let trace = export_trace(&result.repository);
+        std::fs::write(path, &trace)?;
+        exported = Some((path, trace.lines().count()));
+    }
+    if let Some(path) = metrics_out {
+        let write_result = std::fs::write(path, Registry::global().snapshot().to_json());
+        restore_metrics(prior_metrics.unwrap_or(false));
+        write_result?;
+    }
     if has_flag(args, "--json") {
         let piconets = result
             .piconets
@@ -310,9 +338,6 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
             ),
             ("piconets".into(), Value::Array(piconets)),
         ]);
-        if let Some(prior) = prior_metrics {
-            restore_metrics(prior);
-        }
         return Ok(json_envelope("campaign", data, 0));
     }
     let mut out = String::new();
@@ -337,18 +362,10 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     }
     out.push_str(&format!("piconet MTTF: {mttf:.1} s, MTTR: {mttr:.1} s\n"));
     out.push_str(&format!("availability: {:.4}\n", mttf / (mttf + mttr)));
-    if let Some(path) = flag_value(args, "--export") {
-        let trace = export_trace(&result.repository);
-        std::fs::write(path, &trace)?;
-        out.push_str(&format!(
-            "exported {} records to {path}\n",
-            trace.lines().count()
-        ));
+    if let Some((path, records)) = exported {
+        out.push_str(&format!("exported {records} records to {path}\n"));
     }
     if let Some(path) = metrics_out {
-        let write_result = std::fs::write(path, Registry::global().snapshot().to_json());
-        restore_metrics(prior_metrics.unwrap_or(false));
-        write_result?;
         out.push_str(&format!("metrics written to {path}\n"));
     }
     Ok(out)

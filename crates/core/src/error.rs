@@ -1,15 +1,13 @@
 //! The workspace-level error type.
 //!
-//! Every subsystem keeps its own precise error enum — `HciError` is
-//! still what `Hci::command` returns, because a caller recovering from
-//! a command timeout needs that exact variant. What used to be missing
-//! was the seam *above* them: eleven unrelated enums meant every
-//! cross-crate caller (the CLI first among them) had to invent its own
-//! ad-hoc wrapper. [`Error`] is that seam: one `From`-convertible sum
-//! type with a stable [`code`](Error::code) string per category (for
-//! scripts and log grepping), [`source`](std::error::Error::source)
-//! chaining down to the subsystem error, and a single
-//! [`exit_code`](Error::exit_code) policy for the binary.
+//! Every subsystem keeps its own precise error enum — `TraceError` is
+//! still what the importer returns, because a caller quarantining a bad
+//! line needs that exact variant. [`Error`] is the seam *above* them:
+//! one `From`-convertible sum type with a stable [`code`](Error::code)
+//! string per category (for scripts and log grepping),
+//! [`source`](std::error::Error::source) chaining down to the subsystem
+//! error, and a single [`exit_code`](Error::exit_code) policy for the
+//! binary.
 //!
 //! [`CliError`](crate::cli::CliError) is a type alias of this enum, so
 //! existing `CliError::Usage(..)` constructors and `matches!` patterns
@@ -18,14 +16,6 @@
 use btpan_baseband::piconet::PiconetError;
 use btpan_collect::trace::TraceError;
 use btpan_sim::config::ConfigError;
-use btpan_stack::bnep::BnepError;
-use btpan_stack::hci::HciError;
-use btpan_stack::l2cap::L2capError;
-use btpan_stack::pan::PanError;
-use btpan_stack::sdp::SdpError;
-use btpan_stack::socket::BindError;
-use btpan_stack::transport::TransportError;
-use btpan_stack::wire::WireError;
 use btpan_stream::IngestError;
 use std::fmt;
 
@@ -36,8 +26,8 @@ use crate::cli::USAGE;
 /// ```
 /// use btpan_core::error::Error;
 ///
-/// let err = Error::from(btpan_stack::hci::HciError::CommandTimeout);
-/// assert_eq!(err.code(), "hci");
+/// let err = Error::from(btpan_sim::config::ConfigError::new("duration", "must be positive"));
+/// assert_eq!(err.code(), "config");
 /// assert_eq!(err.exit_code(), 2);
 /// assert!(std::error::Error::source(&err).is_some());
 /// ```
@@ -55,22 +45,6 @@ pub enum Error {
     Config(ConfigError),
     /// Piconet membership violation.
     Piconet(PiconetError),
-    /// HCI command/connection failure.
-    Hci(HciError),
-    /// L2CAP channel failure.
-    L2cap(L2capError),
-    /// SDP search failure.
-    Sdp(SdpError),
-    /// PAN profile connection failure.
-    Pan(PanError),
-    /// BNEP interface failure.
-    Bnep(BnepError),
-    /// Socket bind failure (the `T_C`/`T_H` race).
-    Bind(BindError),
-    /// HCI transport (USB/BCSP) failure.
-    Transport(TransportError),
-    /// Wire-format decode failure.
-    Wire(WireError),
     /// The streaming engine refused a record (already shut down).
     Ingest(IngestError),
 }
@@ -87,32 +61,16 @@ impl Error {
             Error::Checkpoint(_) => "checkpoint",
             Error::Config(_) => "config",
             Error::Piconet(_) => "piconet",
-            Error::Hci(_) => "hci",
-            Error::L2cap(_) => "l2cap",
-            Error::Sdp(_) => "sdp",
-            Error::Pan(_) => "pan",
-            Error::Bnep(_) => "bnep",
-            Error::Bind(_) => "bind",
-            Error::Transport(_) => "transport",
-            Error::Wire(_) => "wire",
             Error::Ingest(_) => "ingest",
         }
     }
 
-    /// The process exit status for this error, derived from
-    /// [`code`](Error::code). Every error category currently maps to
-    /// `2` (the binary's historical contract: `0` ok, `2` error,
-    /// `3` = [`crate::cli::EXIT_QUARANTINE`] for unhealthy-but-
-    /// successful runs); this method is where a future per-category
-    /// split would live.
+    /// The process exit status for this error. Every error category
+    /// maps to `2` (the binary's contract: `0` ok, `2` error, `3` =
+    /// [`crate::cli::EXIT_QUARANTINE`] for unhealthy-but-successful
+    /// runs).
     pub fn exit_code(&self) -> i32 {
-        match self.code() {
-            // One uniform hard-error status today; categories that
-            // should exit differently get their own arm here.
-            "usage" | "io" | "trace" | "checkpoint" | "config" | "piconet" | "hci" | "l2cap"
-            | "sdp" | "pan" | "bnep" | "bind" | "transport" | "wire" | "ingest" => 2,
-            _ => 2,
-        }
+        2
     }
 }
 
@@ -125,14 +83,6 @@ impl fmt::Display for Error {
             Error::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             Error::Config(e) => write!(f, "config error: {e}"),
             Error::Piconet(e) => write!(f, "piconet error: {e}"),
-            Error::Hci(e) => write!(f, "hci error: {e}"),
-            Error::L2cap(e) => write!(f, "l2cap error: {e}"),
-            Error::Sdp(e) => write!(f, "sdp error: {e}"),
-            Error::Pan(e) => write!(f, "pan error: {e}"),
-            Error::Bnep(e) => write!(f, "bnep error: {e}"),
-            Error::Bind(e) => write!(f, "bind error: {e}"),
-            Error::Transport(e) => write!(f, "transport error: {e}"),
-            Error::Wire(e) => write!(f, "wire error: {e}"),
             Error::Ingest(e) => write!(f, "ingest error: {e}"),
         }
     }
@@ -146,14 +96,6 @@ impl std::error::Error for Error {
             Error::Trace(e) => Some(e),
             Error::Config(e) => Some(e),
             Error::Piconet(e) => Some(e),
-            Error::Hci(e) => Some(e),
-            Error::L2cap(e) => Some(e),
-            Error::Sdp(e) => Some(e),
-            Error::Pan(e) => Some(e),
-            Error::Bnep(e) => Some(e),
-            Error::Bind(e) => Some(e),
-            Error::Transport(e) => Some(e),
-            Error::Wire(e) => Some(e),
             Error::Ingest(e) => Some(e),
         }
     }
@@ -174,14 +116,6 @@ impl_from! {
     TraceError => Trace,
     ConfigError => Config,
     PiconetError => Piconet,
-    HciError => Hci,
-    L2capError => L2cap,
-    SdpError => Sdp,
-    PanError => Pan,
-    BnepError => Bnep,
-    BindError => Bind,
-    TransportError => Transport,
-    WireError => Wire,
     IngestError => Ingest,
 }
 
@@ -199,14 +133,6 @@ mod tests {
             Error::Checkpoint("x".into()),
             Error::Config(ConfigError::new("f", "r")),
             Error::Piconet(PiconetError::Full),
-            Error::Hci(HciError::CommandTimeout),
-            Error::L2cap(L2capError::ConnectTimeout),
-            Error::Sdp(SdpError::ConnectionRefused),
-            Error::Pan(PanError::AlreadyConnected),
-            Error::Bnep(BnepError::Occupied),
-            Error::Bind(BindError::InterfaceMissing),
-            Error::Transport(TransportError::UsbAddressRejected),
-            Error::Wire(WireError::UnknownType(9)),
             Error::Ingest(IngestError),
         ];
         let codes: Vec<&str> = errs.iter().map(Error::code).collect();
@@ -219,14 +145,6 @@ mod tests {
                 "checkpoint",
                 "config",
                 "piconet",
-                "hci",
-                "l2cap",
-                "sdp",
-                "pan",
-                "bnep",
-                "bind",
-                "transport",
-                "wire",
                 "ingest"
             ]
         );
@@ -252,17 +170,17 @@ mod tests {
 
     #[test]
     fn source_chains_to_the_subsystem_error() {
-        let err = Error::from(SdpError::ServiceNotReturned);
+        let err = Error::from(PiconetError::Full);
         let src = err.source().expect("wrapped errors chain");
-        assert_eq!(src.to_string(), SdpError::ServiceNotReturned.to_string());
+        assert_eq!(src.to_string(), PiconetError::Full.to_string());
         assert!(Error::Usage("x".into()).source().is_none());
     }
 
     #[test]
     fn from_impls_pick_the_right_variant() {
         assert!(matches!(
-            Error::from(HciError::NoFreeHandles),
-            Error::Hci(HciError::NoFreeHandles)
+            Error::from(PiconetError::NotAMember),
+            Error::Piconet(PiconetError::NotAMember)
         ));
         assert!(matches!(
             Error::from(ConfigError::new("shards", "zero")),

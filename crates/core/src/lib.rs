@@ -12,7 +12,6 @@
 //!   [`topology::Topology`] specs describing N piconets (each 1 NAP +
 //!   PANUs with per-machine profiles and per-link overrides) plus
 //!   scatternet bridge nodes, with paper presets and validation;
-//! * [`testbed`] — assembles a 1-NAP + 6-PANU piconet per workload;
 //! * [`campaign`] — the 24/7 campaign simulator: runs `BlueTest`
 //!   connection plans on every PANU, consults the baseband/latent/stress
 //!   models and the fault injector, writes Test/System logs, ships them
@@ -36,7 +35,6 @@ pub mod experiment;
 pub mod machine;
 pub mod runner;
 pub mod supervisor;
-pub mod testbed;
 pub mod topology;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult};
@@ -46,14 +44,12 @@ pub use runner::run_seeds;
 pub use supervisor::{
     run_supervised, SeedVerdict, SupervisedOutcome, SupervisorConfig, SupervisorConfigBuilder,
 };
-pub use testbed::Testbed;
 pub use topology::{BridgeSpec, LinkSpec, MachineSpec, PiconetSpec, Topology};
 
 /// Convenient re-exports of the whole stack for downstream users.
 pub mod prelude {
     pub use crate::campaign::{Campaign, CampaignConfig, CampaignResult};
     pub use crate::machine::paper_machines;
-    pub use crate::testbed::Testbed;
     pub use crate::topology::Topology;
     pub use btpan_analysis as analysis;
     pub use btpan_baseband as baseband;

@@ -204,12 +204,12 @@ impl Topology {
         }
     }
 
-    /// Testbed A alone: the Random-WL paper piconet.
+    /// The Random-WL paper piconet (testbed A) alone.
     pub fn paper_a() -> Self {
         Self::paper(WorkloadKind::Random)
     }
 
-    /// Testbed B alone: the Realistic-WL paper piconet, renumbered into
+    /// The Realistic-WL paper piconet (testbed B) alone, renumbered into
     /// the 100+ node-id namespace (so it can coexist with testbed A)
     /// but replaying testbed A's RNG stream keys — exactly the streams
     /// the legacy single-testbed Realistic campaign drew.
@@ -631,7 +631,7 @@ mod tests {
     fn paper_both_replays_single_testbed_streams() {
         let both = Topology::paper_both();
         assert_eq!(both.piconets.len(), 2);
-        // Testbed A keeps the legacy ids; B is renumbered but replays
+        // The first piconet (testbed A) keeps the legacy ids; B is renumbered but replays
         // A's stream keys, and both roots are unsalted.
         let a = &both.piconets[0];
         let b = &both.piconets[1];

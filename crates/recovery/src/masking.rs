@@ -3,10 +3,11 @@
 //! Three strategies fall out of the error–failure analysis:
 //!
 //! 1. **Bind wait** — wait for `T_C` (valid L2CAP handle) and `T_H`
-//!    (hotplug-notified interface readiness) before binding. This is
-//!    implemented *mechanically* by
-//!    `btpan_stack::socket::IpSocket::bind_masked`; it eliminates bind
-//!    failures entirely, at the cost of the residual setup wait.
+//!    (hotplug-notified interface readiness) before binding. The
+//!    campaign implements it *mechanically*: a masked bind waits until
+//!    the sampled `btpan_stack::hotplug::SetupTiming::iface_up_at`; it
+//!    eliminates bind failures entirely, at the cost of the residual
+//!    setup wait.
 //! 2. **Command retry** — "repeating the action up to 2 times (with 1
 //!    second wait between a retry and the successive) is enough to let
 //!    the underneath transient cause disappear" — for switch-role
@@ -80,8 +81,9 @@ impl Masking {
     /// Attempts to mask a would-be `failure` under this configuration.
     ///
     /// Bind failures are *not* handled here — with `bind_wait` on, the
-    /// workload calls `bind_masked` and the failure never reaches the
-    /// masking layer; this method asserts that contract.
+    /// campaign binds at the hotplug interface-up instant and the
+    /// failure never reaches the masking layer; this method asserts that
+    /// contract.
     pub fn try_mask(&self, failure: UserFailure, rng: &mut SimRng) -> MaskOutcome {
         match failure {
             UserFailure::NapNotFound | UserFailure::SwitchRoleCommandFailed

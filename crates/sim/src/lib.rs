@@ -1,6 +1,6 @@
 //! # btpan-sim
 //!
-//! Deterministic discrete-event simulation substrate for the `btpan`
+//! Deterministic simulation substrate for the `btpan`
 //! workspace (reproduction of Cinque/Cotroneo/Russo, *Collecting and
 //! Analyzing Failure Data of Bluetooth Personal Area Networks*, DSN 2006).
 //!
@@ -8,8 +8,6 @@
 //!
 //! * [`time`] — microsecond-resolution simulated time ([`SimTime`](time::SimTime),
 //!   [`SimDuration`](time::SimDuration)) with Bluetooth slot constants;
-//! * [`engine`] — a generic discrete-event engine ([`Engine`](engine::Engine)) with a
-//!   deterministic FIFO tie-break for simultaneous events;
 //! * [`rng`] — a seeded, forkable random-number source ([`SimRng`](rng::SimRng)) so
 //!   each subsystem consumes an independent substream;
 //! * [`dist`] — hand-rolled samplers for every distribution the paper's
@@ -32,7 +30,6 @@
 
 pub mod config;
 pub mod dist;
-pub mod engine;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -44,7 +41,6 @@ pub mod prelude {
         Bernoulli, Categorical, Distribution, Exponential, Geometric, LogNormal, Pareto,
         TruncatedPareto, UniformF64, UniformU64, Weibull,
     };
-    pub use crate::engine::{Engine, EventHandler, Scheduler};
     pub use crate::rng::SimRng;
     pub use crate::stats::{Histogram, RunningStats, Summary};
     pub use crate::time::{SimDuration, SimTime, SLOT};

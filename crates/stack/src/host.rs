@@ -1,22 +1,13 @@
-//! A complete Bluetooth host: stack variant, transport, and components.
+//! Static host configuration: stack variant, transport and quirks.
 //!
 //! Mirrors the testbed machines of the paper's Table 1: Linux PCs on
 //! BlueZ 2.10 over USB, the Windows XP machine on the Broadcom stack
 //! (the native XP stack exposes no PAN API), and the PDAs on BlueZ over
-//! BCSP. The host exposes the reset ladder the SIRAs climb: socket →
-//! connection → stack → (application and system restarts are modelled at
-//! campaign level since they are not stack state).
+//! BCSP. The campaign reads the quirks; the stack and transport fields
+//! describe the machine in topology files and reports.
 
-use crate::hci::HciController;
-use crate::hotplug::HotplugDaemon;
-use crate::lmp::LinkManager;
-use crate::pan::{PanError, PanProfile};
-use crate::sdp::SdpDatabase;
-use crate::socket::IpSocket;
-use crate::transport::{BcspTransport, Transport, TransportError, TransportKind, UsbTransport};
+use crate::transport::TransportKind;
 use btpan_faults::HostQuirks;
-use btpan_sim::prelude::*;
-use btpan_sim::time::{SimDuration, SimTime};
 
 /// Which protocol stack implementation the host runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -42,280 +33,4 @@ pub struct HostConfig {
     pub quirks: HostQuirks,
     /// Antenna distance from the NAP in metres.
     pub distance_m: f64,
-}
-
-/// The transport instance (concrete, clonable).
-#[derive(Debug, Clone)]
-enum TransportImpl {
-    Usb(UsbTransport),
-    Bcsp(BcspTransport),
-}
-
-impl TransportImpl {
-    fn send(&mut self, payload: &[u8], rng: &mut SimRng) -> Result<(), TransportError> {
-        match self {
-            TransportImpl::Usb(t) => t.send(payload, rng),
-            TransportImpl::Bcsp(t) => t.send(payload, rng),
-        }
-    }
-}
-
-/// A fully assembled BT host.
-#[derive(Debug, Clone)]
-pub struct BtHost {
-    config: HostConfig,
-    /// The HCI controller.
-    pub hci: HciController,
-    /// The link manager (inquiry cache etc.).
-    pub link_manager: LinkManager,
-    /// The PAN profile engine.
-    pub pan: PanProfile,
-    /// The host's IP socket.
-    pub socket: IpSocket,
-    /// The host's SDP database (non-empty on the NAP).
-    pub sdp: SdpDatabase,
-    transport: TransportImpl,
-    reboots: u64,
-    app_restarts: u64,
-}
-
-impl BtHost {
-    /// Builds a host from its configuration.
-    pub fn new(config: HostConfig) -> Self {
-        let hotplug = if config.quirks.bind_prone {
-            HotplugDaemon::hal_bug()
-        } else {
-            HotplugDaemon::healthy()
-        };
-        let transport = match config.transport {
-            TransportKind::Usb => TransportImpl::Usb(UsbTransport::default()),
-            TransportKind::Bcsp => TransportImpl::Bcsp(BcspTransport::default()),
-        };
-        BtHost {
-            config,
-            hci: HciController::default(),
-            link_manager: LinkManager::new(),
-            pan: PanProfile::new(hotplug),
-            socket: IpSocket::new(),
-            sdp: SdpDatabase::new(),
-            transport,
-            reboots: 0,
-            app_restarts: 0,
-        }
-    }
-
-    /// The host's configuration.
-    pub fn config(&self) -> &HostConfig {
-        &self.config
-    }
-
-    /// The host's name.
-    pub fn name(&self) -> &str {
-        &self.config.name
-    }
-
-    /// Node identifier.
-    pub fn node_id(&self) -> u64 {
-        self.config.node_id
-    }
-
-    /// Sends one HCI command frame through the host's transport.
-    ///
-    /// # Errors
-    ///
-    /// Transport-level errors (USB enumeration, BCSP ordering).
-    pub fn transport_send(
-        &mut self,
-        payload: &[u8],
-        rng: &mut SimRng,
-    ) -> Result<(), TransportError> {
-        self.transport.send(payload, rng)
-    }
-
-    /// Total reboots performed.
-    pub fn reboots(&self) -> u64 {
-        self.reboots
-    }
-
-    /// Total application restarts performed.
-    pub fn app_restarts(&self) -> u64 {
-        self.app_restarts
-    }
-
-    // ----- SIRA reset ladder -------------------------------------------
-
-    /// SIRA 1 — destroy and rebuild the IP socket.
-    pub fn reset_socket(&mut self) {
-        self.socket.close();
-        self.socket = IpSocket::new();
-    }
-
-    /// SIRA 2 — close and re-establish the L2CAP/PAN connections
-    /// (the re-establish half is the workload's next connect).
-    pub fn reset_connection(&mut self) {
-        let _ = self.pan.disconnect(&mut self.hci);
-        self.reset_socket();
-    }
-
-    /// SIRA 3 — clean up BT stack variables and data.
-    pub fn reset_stack(&mut self) {
-        self.reset_connection();
-        self.hci.reset();
-        self.link_manager.reset();
-    }
-
-    /// SIRA 4/5 — restart the workload application (stack survives, the
-    /// application's connections do not).
-    pub fn restart_app(&mut self) {
-        self.reset_connection();
-        self.app_restarts += 1;
-    }
-
-    /// SIRA 6/7 — reboot the whole system.
-    pub fn reboot(&mut self) {
-        self.reset_stack();
-        self.reboots += 1;
-    }
-
-    /// Typical duration of one reboot on this host class (PDAs boot
-    /// slower).
-    pub fn reboot_duration(&self, rng: &mut SimRng) -> SimDuration {
-        let mean = if self.config.quirks.is_pda {
-            340.0
-        } else {
-            260.0
-        };
-        let d = LogNormal::from_mean_cv(mean, 0.35).expect("valid lognormal");
-        SimDuration::from_secs_f64(d.sample(rng).clamp(30.0, 7200.0))
-    }
-
-    /// Typical duration of one application restart.
-    pub fn app_restart_duration(&self, rng: &mut SimRng) -> SimDuration {
-        let d = LogNormal::from_mean_cv(28.0, 0.4).expect("valid lognormal");
-        SimDuration::from_secs_f64(d.sample(rng).clamp(2.0, 600.0))
-    }
-
-    /// Whether the PAN profile is available at all — the native Windows
-    /// XP stack exposes none, which is why the testbed's Windows machine
-    /// runs Broadcom.
-    pub fn pan_supported(&self) -> bool {
-        true // both BlueZ and Broadcom expose PAN; kept for API clarity
-    }
-
-    /// Connects this host (as PANU) at `now`, returning the same
-    /// schedule the PAN API exposes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PanError`].
-    pub fn pan_connect(
-        &mut self,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Result<crate::pan::PanConnection, PanError> {
-        self.pan.connect(now, &mut self.hci, rng).cloned()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn host(quirks: HostQuirks, transport: TransportKind) -> BtHost {
-        BtHost::new(HostConfig {
-            name: "test".into(),
-            node_id: 1,
-            stack: StackVariant::BlueZ,
-            transport,
-            quirks,
-            distance_m: 5.0,
-        })
-    }
-
-    #[test]
-    fn hal_bug_hosts_get_buggy_hotplug() {
-        let mut prone = host(HostQuirks::fedora_hal_bug(), TransportKind::Usb);
-        let mut clean = host(HostQuirks::linux_pc(), TransportKind::Usb);
-        let mut r = SimRng::seed_from(9);
-        // Sample many connects; the prone host shows slow setups, the
-        // clean one never does.
-        let mut slow_prone = 0;
-        for i in 0..6_000 {
-            let now = SimTime::from_secs(i * 20);
-            let c = prone.pan_connect(now, &mut r).unwrap();
-            if c.ready_at().since(now) > SimDuration::from_millis(500) {
-                slow_prone += 1;
-            }
-            prone.reset_connection();
-            let c = clean.pan_connect(now, &mut r).unwrap();
-            assert!(c.ready_at().since(now) < SimDuration::from_millis(200));
-            clean.reset_connection();
-        }
-        // p_slow ~ 0.98 %: expect ~59 slow setups out of 6000.
-        assert!(slow_prone > 25, "slow setups: {slow_prone}");
-    }
-
-    #[test]
-    fn reset_ladder_clears_progressively() {
-        let mut h = host(HostQuirks::linux_pc(), TransportKind::Usb);
-        let mut r = SimRng::seed_from(3);
-        let conn = h.pan_connect(SimTime::ZERO, &mut r).unwrap();
-        h.socket.bind_masked(&conn, SimTime::ZERO);
-        h.link_manager.add_neighbour(42);
-        h.link_manager.inquiry(8, 1.0, &mut r);
-        assert!(h.link_manager.knows(42));
-
-        h.reset_connection();
-        assert!(h.pan.connection().is_none());
-        assert_eq!(h.hci.handle_count(), 0);
-        assert!(h.link_manager.knows(42), "connection reset keeps caches");
-
-        h.pan_connect(SimTime::from_secs(1), &mut r).unwrap();
-        h.reset_stack();
-        assert!(!h.link_manager.knows(42), "stack reset clears caches");
-        assert_eq!(h.hci.handle_count(), 0);
-    }
-
-    #[test]
-    fn restart_and_reboot_counters() {
-        let mut h = host(HostQuirks::linux_pc(), TransportKind::Usb);
-        h.restart_app();
-        h.restart_app();
-        h.reboot();
-        assert_eq!(h.app_restarts(), 2);
-        assert_eq!(h.reboots(), 1);
-    }
-
-    #[test]
-    fn durations_plausible_and_pda_slower() {
-        let pc = host(HostQuirks::linux_pc(), TransportKind::Usb);
-        let pda = host(HostQuirks::pda(), TransportKind::Bcsp);
-        let mut r = SimRng::seed_from(4);
-        let n = 2_000;
-        let mean = |h: &BtHost, r: &mut SimRng| {
-            (0..n)
-                .map(|_| h.reboot_duration(r).as_secs_f64())
-                .sum::<f64>()
-                / n as f64
-        };
-        let pc_mean = mean(&pc, &mut r);
-        let pda_mean = mean(&pda, &mut r);
-        assert!(pda_mean > pc_mean, "pda {pda_mean} pc {pc_mean}");
-        assert!((pc_mean - 260.0).abs() < 25.0, "pc mean {pc_mean}");
-        let app = (0..n)
-            .map(|_| pc.app_restart_duration(&mut r).as_secs_f64())
-            .sum::<f64>()
-            / n as f64;
-        assert!((app - 28.0).abs() < 5.0, "app restart mean {app}");
-    }
-
-    #[test]
-    fn transports_wired_by_kind() {
-        let mut usb = host(HostQuirks::linux_pc(), TransportKind::Usb);
-        let mut bcsp = host(HostQuirks::pda(), TransportKind::Bcsp);
-        let mut r = SimRng::seed_from(5);
-        usb.transport_send(b"cmd", &mut r).unwrap();
-        bcsp.transport_send(b"cmd", &mut r).unwrap();
-        assert!(usb.pan_supported());
-    }
 }

@@ -1,124 +1,38 @@
 //! # btpan-stack
 //!
-//! The Bluetooth host stack the PAN testbed runs on: the substrate the
-//! paper's masking strategies patch. Every component is a small state
-//! machine with explicit, typed error paths, so the paper's fixes are
-//! *real fixes of real races*, not flags:
+//! The parts of the Bluetooth host stack the campaign's behavioural
+//! failure model needs. The campaign does not execute a protocol-level
+//! stack; it samples setup timing and injected faults per phase. This
+//! crate holds the pieces of that model that are about the host:
 //!
-//! * [`hci`] — Host Controller Interface command layer: connection
-//!   handles, command timeouts, invalid-handle errors;
-//! * [`transport`] — host↔controller transports: plain USB and the
-//!   BCSP reliable serial protocol of the PDAs (sequence numbers,
-//!   acknowledgements, out-of-order detection);
-//! * [`lmp`] — Link Manager procedures: inquiry/scan, paging,
-//!   master/slave role switch;
-//! * [`l2cap`] — connection-oriented channels with configuration
-//!   handshake, MTU and segmentation accounting;
-//! * [`sdp`] — service records and the NAP service search;
-//! * [`bnep`] — the BT Network Encapsulation Protocol interface with the
-//!   Ethernet abstraction (MTU 1691);
 //! * [`hotplug`] — the OS hotplug/HAL daemon that configures the BNEP
 //!   interface *asynchronously* — the source of the bind race: the PAN
 //!   connect API returns before the interval `T_C` (L2CAP connection
 //!   creation) plus `T_H` (BNEP + hotplug configuration) has elapsed;
-//! * [`socket`] — the IP socket whose `bind` fails when issued before
-//!   `T_C`/`T_H` (HCI invalid-handle before `T_C`; missing/unconfigured
+//! * [`socket`] — the [`BindError`] a bind issued before `T_C`/`T_H`
+//!   fails with (HCI invalid-handle before `T_C`; missing/unconfigured
 //!   interface between `T_C` and `T_H`);
-//! * [`pan`] — the PAN profile procedure gluing L2CAP → BNEP → role
-//!   switch together;
-//! * [`host`] — a complete PANU/NAP host assembling all of the above
-//!   according to its machine configuration;
-//! * [`enhanced`] — the paper's future-work deliverable: a robust PAN
-//!   stack with every finding (synchronous connect, SDP-first,
-//!   transparent retries, raised timeouts) baked into the API;
-//! * [`wire`] — byte-level packet codecs (HCI, L2CAP signalling, BNEP
-//!   headers) with exhaustive decode-error reporting.
+//! * [`host`] — the static per-machine configuration (stack variant,
+//!   transport, quirks, antenna distance);
+//! * [`transport`] — the host↔controller transport kind (USB or BCSP).
+//!
+//! ```
+//! use btpan_sim::prelude::*;
+//! use btpan_stack::hotplug::HotplugDaemon;
+//!
+//! let daemon = HotplugDaemon::hal_bug();
+//! let mut rng = SimRng::seed_from(7);
+//! let timing = daemon.sample(SimTime::ZERO, &mut rng);
+//! // Binding once hotplug reports the interface up never fails.
+//! assert!(timing.iface_up_at >= timing.l2cap_usable_at);
+//! ```
 
-pub(crate) mod metrics {
-    //! Per-protocol observability handles (`btpan_stack_*`), cached once
-    //! and shared by every module in the crate.
-
-    use btpan_obs::{Counter, Histogram, Registry};
-    use std::sync::OnceLock;
-
-    /// Index into the per-protocol error-counter family.
-    #[derive(Debug, Clone, Copy)]
-    pub(crate) enum Protocol {
-        Hci,
-        L2cap,
-        Sdp,
-        Pan,
-        Bnep,
-        Socket,
-        Transport,
-        Wire,
-    }
-
-    const PROTOCOL_LABELS: [&str; 8] = [
-        "hci",
-        "l2cap",
-        "sdp",
-        "pan",
-        "bnep",
-        "socket",
-        "transport",
-        "wire",
-    ];
-
-    pub(crate) struct StackMetrics {
-        /// `btpan_stack_errors_total{protocol=…}`.
-        pub errors: [Counter; 8],
-        /// `btpan_stack_sdp_search_us` — simulated SDP transaction time.
-        pub sdp_search_us: Histogram,
-        /// `btpan_stack_pan_connect_us` — simulated time from the PAN
-        /// connect API call to the interface being fully up (`T_C + T_H`).
-        pub pan_connect_us: Histogram,
-    }
-
-    pub(crate) fn handles() -> &'static StackMetrics {
-        static HANDLES: OnceLock<StackMetrics> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            let registry = Registry::global();
-            StackMetrics {
-                errors: PROTOCOL_LABELS.map(|protocol| {
-                    registry.counter_with("btpan_stack_errors_total", &[("protocol", protocol)])
-                }),
-                sdp_search_us: registry.histogram("btpan_stack_sdp_search_us"),
-                pan_connect_us: registry.histogram("btpan_stack_pan_connect_us"),
-            }
-        })
-    }
-
-    /// Records one error for `protocol`.
-    pub(crate) fn error(protocol: Protocol) {
-        handles().errors[protocol as usize].inc();
-    }
-
-    /// Passes `result` through, counting an error for `protocol` on `Err`.
-    pub(crate) fn count<T, E>(protocol: Protocol, result: Result<T, E>) -> Result<T, E> {
-        if result.is_err() {
-            error(protocol);
-        }
-        result
-    }
-}
-
-pub mod bnep;
-pub mod enhanced;
-pub mod hci;
 pub mod host;
 pub mod hotplug;
-pub mod l2cap;
-pub mod lmp;
-pub mod pan;
-pub mod sdp;
 pub mod socket;
 pub mod transport;
-pub mod wire;
 
-pub use enhanced::RobustPanStack;
-pub use hci::{HciController, HciError, HciHandle};
-pub use host::{BtHost, HostConfig, StackVariant};
-pub use pan::{PanConnection, PanError, PanProfile};
-pub use socket::{BindError, IpSocket};
-pub use transport::{BcspTransport, Transport, TransportError, TransportKind, UsbTransport};
+pub use host::{HostConfig, StackVariant};
+pub use hotplug::{HotplugDaemon, SetupTiming};
+pub use socket::BindError;
+pub use transport::TransportKind;

@@ -9,11 +9,11 @@
 //! interface is not present or it does not have been configured yet."
 //!
 //! The masking strategy checks the L2CAP handle validity (covers `T_C`)
-//! and has the hotplug daemon notify interface readiness (covers `T_H`)
-//! — implemented as [`IpSocket::bind_masked`].
+//! and has the hotplug daemon notify interface readiness (covers `T_H`):
+//! a bind issued at [`SetupTiming::iface_up_at`] never fails.
+//!
+//! [`SetupTiming::iface_up_at`]: crate::hotplug::SetupTiming::iface_up_at
 
-use crate::pan::PanConnection;
-use btpan_sim::time::SimTime;
 use std::fmt;
 
 /// Why a bind failed (maps onto the Table 2 bind causes).
@@ -43,228 +43,9 @@ impl fmt::Display for BindError {
 
 impl std::error::Error for BindError {}
 
-/// State of an IP socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketState {
-    /// Created, not bound.
-    Unbound,
-    /// Bound to the BNEP interface and usable.
-    Bound,
-    /// Destroyed (after an IP-socket-reset SIRA).
-    Closed,
-}
-
-/// An IP socket over a PAN connection.
-#[derive(Debug, Clone)]
-pub struct IpSocket {
-    state: SocketState,
-    bound_at: Option<SimTime>,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
-impl Default for IpSocket {
-    fn default() -> Self {
-        IpSocket::new()
-    }
-}
-
-impl IpSocket {
-    /// Creates an unbound socket.
-    pub fn new() -> Self {
-        IpSocket {
-            state: SocketState::Unbound,
-            bound_at: None,
-            bytes_sent: 0,
-            bytes_received: 0,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> SocketState {
-        self.state
-    }
-
-    /// When the socket was bound.
-    pub fn bound_at(&self) -> Option<SimTime> {
-        self.bound_at
-    }
-
-    /// Bytes sent through the socket.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Bytes received through the socket.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
-    /// Binds to the connection's BNEP interface at `now` — the raw,
-    /// *unmasked* application behaviour: succeeds only if the whole
-    /// `T_C + T_H` schedule already elapsed.
-    ///
-    /// # Errors
-    ///
-    /// A [`BindError`] naming which half of the race was lost.
-    pub fn bind(&mut self, conn: &PanConnection, now: SimTime) -> Result<(), BindError> {
-        if now < conn.timing.l2cap_usable_at {
-            crate::metrics::error(crate::metrics::Protocol::Socket);
-            return Err(BindError::HciInvalidHandle);
-        }
-        if now < conn.timing.iface_created_at {
-            crate::metrics::error(crate::metrics::Protocol::Socket);
-            return Err(BindError::InterfaceMissing);
-        }
-        if now < conn.timing.iface_up_at {
-            crate::metrics::error(crate::metrics::Protocol::Socket);
-            return Err(BindError::InterfaceNotConfigured);
-        }
-        self.state = SocketState::Bound;
-        self.bound_at = Some(now);
-        Ok(())
-    }
-
-    /// The masked bind: waits for the connection's readiness instant
-    /// before binding (the paper's fix — check the L2CAP handle, have
-    /// hotplug notify interface-up). Returns the instant the bind
-    /// actually completed.
-    pub fn bind_masked(&mut self, conn: &PanConnection, now: SimTime) -> SimTime {
-        let at = if conn.ready(now) {
-            now
-        } else {
-            conn.ready_at()
-        };
-        self.bind(conn, at).expect("bind after readiness succeeds");
-        at
-    }
-
-    /// Accounts `len` bytes sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket is not bound (a workload logic error).
-    pub fn record_sent(&mut self, len: u64) {
-        assert_eq!(self.state, SocketState::Bound, "send on unbound socket");
-        self.bytes_sent += len;
-    }
-
-    /// Accounts `len` bytes received.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket is not bound.
-    pub fn record_received(&mut self, len: u64) {
-        assert_eq!(self.state, SocketState::Bound, "recv on unbound socket");
-        self.bytes_received += len;
-    }
-
-    /// Destroys the socket (the IP-socket-reset SIRA destroys and
-    /// rebuilds it).
-    pub fn close(&mut self) {
-        self.state = SocketState::Closed;
-        self.bound_at = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hci::HciController;
-    use crate::hotplug::HotplugDaemon;
-    use crate::pan::PanProfile;
-    use btpan_sim::prelude::*;
-
-    fn connection(seed: u64) -> PanConnection {
-        let mut pan = PanProfile::new(HotplugDaemon::hal_bug());
-        let mut hci = HciController::default();
-        let mut r = SimRng::seed_from(seed);
-        pan.connect(SimTime::ZERO, &mut hci, &mut r)
-            .unwrap()
-            .clone()
-    }
-
-    #[test]
-    fn bind_before_tc_is_hci_error() {
-        let conn = connection(1);
-        let mut s = IpSocket::new();
-        let before_tc = SimTime::from_micros(conn.timing.l2cap_usable_at.as_micros() - 1);
-        assert_eq!(s.bind(&conn, before_tc), Err(BindError::HciInvalidHandle));
-        assert_eq!(s.state(), SocketState::Unbound);
-    }
-
-    #[test]
-    fn bind_between_tc_and_th_is_interface_error() {
-        let conn = connection(2);
-        let mut s = IpSocket::new();
-        let mid = conn.timing.iface_created_at;
-        let err = s.bind(&conn, mid).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BindError::InterfaceNotConfigured | BindError::InterfaceMissing
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn bind_after_th_succeeds() {
-        let conn = connection(3);
-        let mut s = IpSocket::new();
-        s.bind(&conn, conn.timing.iface_up_at).unwrap();
-        assert_eq!(s.state(), SocketState::Bound);
-        assert_eq!(s.bound_at(), Some(conn.timing.iface_up_at));
-    }
-
-    #[test]
-    fn masked_bind_always_succeeds() {
-        // Masking fully eliminates bind failures regardless of timing.
-        for seed in 0..50 {
-            let conn = connection(seed);
-            let mut s = IpSocket::new();
-            let at = s.bind_masked(&conn, SimTime::ZERO);
-            assert_eq!(s.state(), SocketState::Bound);
-            assert_eq!(at, conn.ready_at());
-        }
-    }
-
-    #[test]
-    fn masked_bind_is_immediate_when_ready() {
-        let conn = connection(7);
-        let mut s = IpSocket::new();
-        let late = conn.ready_at() + btpan_sim::time::SimDuration::from_secs(1);
-        let at = s.bind_masked(&conn, late);
-        assert_eq!(at, late);
-    }
-
-    #[test]
-    fn traffic_accounting() {
-        let conn = connection(4);
-        let mut s = IpSocket::new();
-        s.bind_masked(&conn, SimTime::ZERO);
-        s.record_sent(100);
-        s.record_received(250);
-        assert_eq!(s.bytes_sent(), 100);
-        assert_eq!(s.bytes_received(), 250);
-    }
-
-    #[test]
-    #[should_panic(expected = "unbound socket")]
-    fn send_on_unbound_panics() {
-        let mut s = IpSocket::new();
-        s.record_sent(1);
-    }
-
-    #[test]
-    fn close_resets_binding() {
-        let conn = connection(5);
-        let mut s = IpSocket::new();
-        s.bind_masked(&conn, SimTime::ZERO);
-        s.close();
-        assert_eq!(s.state(), SocketState::Closed);
-        assert_eq!(s.bound_at(), None);
-    }
 
     #[test]
     fn error_display() {
@@ -272,5 +53,8 @@ mod tests {
             .to_string()
             .contains("invalid handle"));
         assert!(BindError::InterfaceMissing.to_string().contains("bnep0"));
+        assert!(BindError::InterfaceNotConfigured
+            .to_string()
+            .contains("hotplug"));
     }
 }

@@ -5,12 +5,9 @@
 //! use the **BlueCore Serial Protocol (BCSP)**, which multiplexes
 //! parallel flows over a single UART link and adds sequence numbers,
 //! error checking and retransmission. The paper traces 49.7 % of
-//! switch-role command failures to BCSP out-of-order/missing packets —
-//! the very machinery this module implements.
-
-use btpan_sim::prelude::*;
-use std::collections::VecDeque;
-use std::fmt;
+//! switch-role command failures to BCSP out-of-order/missing packets;
+//! the campaign draws those failures from the fault injector for hosts
+//! whose `HostQuirks::uses_bcsp` is set.
 
 /// Which transport a host uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -19,339 +16,4 @@ pub enum TransportKind {
     Usb,
     /// BlueCore Serial Protocol over UART (PDAs).
     Bcsp,
-}
-
-impl fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportKind::Usb => f.write_str("USB"),
-            TransportKind::Bcsp => f.write_str("BCSP"),
-        }
-    }
-}
-
-/// Transport-level errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportError {
-    /// The USB device does not accept new addresses (enumeration hang).
-    UsbAddressRejected,
-    /// A BCSP frame arrived out of order and the window could not
-    /// recover it.
-    BcspOutOfOrder,
-    /// An expected BCSP frame never arrived (retransmissions exhausted).
-    BcspMissing,
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportError::UsbAddressRejected => {
-                write!(f, "usb: device not accepting address")
-            }
-            TransportError::BcspOutOfOrder => write!(f, "BCSP out of order packet"),
-            TransportError::BcspMissing => write!(f, "BCSP missing packet"),
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-/// A frame moving between host and controller.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Sequence number (BCSP reliable channel).
-    pub seq: u8,
-    /// Opaque payload.
-    pub payload: Vec<u8>,
-}
-
-/// A host↔controller transport.
-pub trait Transport {
-    /// Which transport this is.
-    fn kind(&self) -> TransportKind;
-
-    /// Sends a frame to the controller, returning the delivered frame
-    /// stream visible to the receiver side.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransportError`] when the transport's own machinery
-    /// fails (USB enumeration, BCSP ordering).
-    fn send(&mut self, payload: &[u8], rng: &mut SimRng) -> Result<(), TransportError>;
-
-    /// Frames successfully delivered and accepted in order.
-    fn delivered(&self) -> u64;
-}
-
-/// Plain USB transport: frames either go through or the device rejects
-/// addressing entirely (rare transient).
-#[derive(Debug, Clone)]
-pub struct UsbTransport {
-    /// Probability of an enumeration/address failure per frame.
-    p_address_reject: f64,
-    delivered: u64,
-}
-
-impl UsbTransport {
-    /// Creates a USB transport with the given address-failure rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability is outside `[0, 1]`.
-    pub fn new(p_address_reject: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_address_reject), "probability");
-        UsbTransport {
-            p_address_reject,
-            delivered: 0,
-        }
-    }
-}
-
-impl Default for UsbTransport {
-    fn default() -> Self {
-        UsbTransport::new(1e-6)
-    }
-}
-
-impl Transport for UsbTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Usb
-    }
-
-    fn send(&mut self, _payload: &[u8], rng: &mut SimRng) -> Result<(), TransportError> {
-        if rng.chance(self.p_address_reject) {
-            crate::metrics::error(crate::metrics::Protocol::Transport);
-            return Err(TransportError::UsbAddressRejected);
-        }
-        self.delivered += 1;
-        Ok(())
-    }
-
-    fn delivered(&self) -> u64 {
-        self.delivered
-    }
-}
-
-/// BCSP reliable transport: go-back-N with a small window over a lossy,
-/// reordering UART link.
-#[derive(Debug, Clone)]
-pub struct BcspTransport {
-    /// Probability a frame is lost on the wire.
-    p_loss: f64,
-    /// Probability a frame is delayed past its successor (reorder).
-    p_reorder: f64,
-    /// Retransmissions allowed before declaring the frame missing.
-    retry_limit: u32,
-    next_seq: u8,
-    expected_seq: u8,
-    /// Frames that arrived early and wait for their predecessors.
-    pending: VecDeque<Frame>,
-    delivered: u64,
-    /// Out-of-order events observed (for log correlation).
-    out_of_order_events: u64,
-}
-
-impl BcspTransport {
-    /// Maximum frames held while waiting for an in-order predecessor.
-    const WINDOW: usize = 4;
-
-    /// Creates a BCSP transport.
-    ///
-    /// # Panics
-    ///
-    /// Panics if probabilities are outside `[0, 1]` or the retry limit is
-    /// zero.
-    pub fn new(p_loss: f64, p_reorder: f64, retry_limit: u32) -> Self {
-        assert!((0.0..=1.0).contains(&p_loss), "p_loss");
-        assert!((0.0..=1.0).contains(&p_reorder), "p_reorder");
-        assert!(retry_limit > 0, "retry limit");
-        BcspTransport {
-            p_loss,
-            p_reorder,
-            retry_limit,
-            next_seq: 0,
-            expected_seq: 0,
-            pending: VecDeque::new(),
-            delivered: 0,
-            out_of_order_events: 0,
-        }
-    }
-
-    /// Out-of-order events seen so far.
-    pub fn out_of_order_events(&self) -> u64 {
-        self.out_of_order_events
-    }
-
-    fn accept(&mut self, frame: Frame) -> Result<(), TransportError> {
-        if frame.seq == self.expected_seq {
-            self.expected_seq = self.expected_seq.wrapping_add(1);
-            self.delivered += 1;
-            // Drain any buffered successors now in order.
-            while let Some(pos) = self.pending.iter().position(|f| f.seq == self.expected_seq) {
-                self.pending.remove(pos);
-                self.expected_seq = self.expected_seq.wrapping_add(1);
-                self.delivered += 1;
-            }
-            Ok(())
-        } else {
-            self.out_of_order_events += 1;
-            if self.pending.len() >= Self::WINDOW {
-                // Window overflow: unrecoverable ordering violation.
-                self.pending.clear();
-                self.expected_seq = self.next_seq;
-                crate::metrics::error(crate::metrics::Protocol::Transport);
-                return Err(TransportError::BcspOutOfOrder);
-            }
-            self.pending.push_back(frame);
-            Ok(())
-        }
-    }
-}
-
-impl Default for BcspTransport {
-    fn default() -> Self {
-        // UART at PDA quality: loss and reordering are rare but real.
-        BcspTransport::new(2e-4, 1e-4, 4)
-    }
-}
-
-impl Transport for BcspTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Bcsp
-    }
-
-    fn send(&mut self, payload: &[u8], rng: &mut SimRng) -> Result<(), TransportError> {
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > self.retry_limit {
-                crate::metrics::error(crate::metrics::Protocol::Transport);
-                return Err(TransportError::BcspMissing);
-            }
-            if rng.chance(self.p_loss) {
-                continue; // lost on the wire; retransmit
-            }
-            if rng.chance(self.p_reorder) {
-                // Delivered, but after its successor: simulate by
-                // accepting a phantom successor first.
-                let phantom = Frame {
-                    seq: seq.wrapping_add(1),
-                    payload: Vec::new(),
-                };
-                self.accept(phantom)?;
-                // Our frame now arrives late.
-                let frame = Frame {
-                    seq,
-                    payload: payload.to_vec(),
-                };
-                self.accept(frame)?;
-                // Account for the phantom taking our successor's slot.
-                self.next_seq = self.next_seq.wrapping_add(1);
-                return Ok(());
-            }
-            let frame = Frame {
-                seq,
-                payload: payload.to_vec(),
-            };
-            return self.accept(frame);
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        self.delivered
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rng() -> SimRng {
-        SimRng::seed_from(0x7A57)
-    }
-
-    #[test]
-    fn usb_mostly_delivers() {
-        let mut t = UsbTransport::default();
-        let mut r = rng();
-        for _ in 0..1000 {
-            t.send(b"cmd", &mut r).unwrap();
-        }
-        assert_eq!(t.delivered(), 1000);
-        assert_eq!(t.kind(), TransportKind::Usb);
-    }
-
-    #[test]
-    fn usb_fails_at_configured_rate() {
-        let mut t = UsbTransport::new(0.2);
-        let mut r = rng();
-        let failures = (0..10_000)
-            .filter(|_| t.send(b"cmd", &mut r).is_err())
-            .count();
-        let freq = failures as f64 / 10_000.0;
-        assert!((freq - 0.2).abs() < 0.02, "freq {freq}");
-    }
-
-    #[test]
-    fn bcsp_clean_link_stays_in_order() {
-        let mut t = BcspTransport::new(0.0, 0.0, 4);
-        let mut r = rng();
-        for _ in 0..500 {
-            t.send(b"x", &mut r).unwrap();
-        }
-        assert_eq!(t.delivered(), 500);
-        assert_eq!(t.out_of_order_events(), 0);
-    }
-
-    #[test]
-    fn bcsp_recovers_from_losses() {
-        let mut t = BcspTransport::new(0.3, 0.0, 16);
-        let mut r = rng();
-        for _ in 0..500 {
-            t.send(b"x", &mut r).unwrap();
-        }
-        assert_eq!(t.delivered(), 500);
-    }
-
-    #[test]
-    fn bcsp_exhausts_retries_on_dead_link() {
-        let mut t = BcspTransport::new(1.0, 0.0, 3);
-        let mut r = rng();
-        assert_eq!(t.send(b"x", &mut r), Err(TransportError::BcspMissing));
-    }
-
-    #[test]
-    fn bcsp_records_out_of_order() {
-        let mut t = BcspTransport::new(0.0, 0.5, 4);
-        let mut r = rng();
-        let mut errors = 0;
-        for _ in 0..500 {
-            if t.send(b"x", &mut r).is_err() {
-                errors += 1;
-            }
-        }
-        assert!(t.out_of_order_events() > 0, "no out-of-order seen");
-        // Window of 4 usually absorbs single reorders; hard errors rare.
-        assert!(errors < 200);
-    }
-
-    #[test]
-    fn display_matches_table1_messages() {
-        assert_eq!(
-            TransportError::UsbAddressRejected.to_string(),
-            "usb: device not accepting address"
-        );
-        assert!(TransportError::BcspOutOfOrder
-            .to_string()
-            .contains("out of order"));
-        assert_eq!(TransportKind::Bcsp.to_string(), "BCSP");
-    }
-
-    #[test]
-    #[should_panic(expected = "retry limit")]
-    fn zero_retries_rejected() {
-        let _ = BcspTransport::new(0.0, 0.0, 0);
-    }
 }

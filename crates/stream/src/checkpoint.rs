@@ -8,10 +8,9 @@
 //! core and replaying the source from `source_index`; every estimator
 //! then continues the same fold it would have performed uninterrupted.
 
-use crate::coalesce::OnlineCoalescer;
 use crate::core::{ShardState, StreamConfig, StreamCore};
 use crate::estimators::{EpisodeEstimator, MatrixCell, StreamSnapshot};
-use btpan_collect::coalesce::Tuple;
+use btpan_collect::coalesce::{OnlineCoalescer, Tuple};
 use btpan_collect::entry::{LogRecord, NodeId};
 use btpan_collect::trace::QuarantineReport;
 use btpan_faults::UserFailure;

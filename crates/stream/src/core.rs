@@ -23,7 +23,7 @@
 //! Emitted records always satisfy `at > W`-at-emission-time, so
 //! closing tuples via `OnlineCoalescer::advance(W)` can never split a
 //! tuple the batch algorithm would have kept together (see
-//! [`crate::coalesce`]).
+//! [`mod@btpan_collect::coalesce`]).
 //!
 //! # Memory bound
 //!
@@ -32,10 +32,9 @@
 //! stream length. The NAP chain and open tuples are pruned as the
 //! watermark passes them.
 
-use crate::coalesce::OnlineCoalescer;
 use crate::estimators::{EpisodeEstimator, MatrixCell, StreamSnapshot};
 use crate::router::ShardRouter;
-use btpan_collect::coalesce::Tuple;
+use btpan_collect::coalesce::{OnlineCoalescer, Tuple};
 use btpan_collect::entry::{LogRecord, NodeId};
 use btpan_collect::relate::{observations_in, RelationshipMatrix};
 use btpan_collect::trace::QuarantineReport;

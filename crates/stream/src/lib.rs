@@ -35,7 +35,6 @@
 
 pub mod batch;
 pub mod checkpoint;
-pub mod coalesce;
 pub mod core;
 pub mod engine;
 pub mod estimators;
@@ -44,7 +43,6 @@ pub mod tail;
 
 pub use crate::batch::batch_reference;
 pub use crate::checkpoint::Checkpoint;
-pub use crate::coalesce::OnlineCoalescer;
 pub use crate::core::{
     stream_records, StreamConfig, StreamConfigBuilder, StreamCore, StreamOutcome, DEFAULT_WINDOW,
 };
@@ -52,3 +50,4 @@ pub use crate::engine::{IngestError, StreamEngine};
 pub use crate::estimators::{EpisodeEstimator, MatrixCell, StreamSnapshot};
 pub use crate::router::ShardRouter;
 pub use crate::tail::LineFramer;
+pub use btpan_collect::coalesce::OnlineCoalescer;

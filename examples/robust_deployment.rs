@@ -1,6 +1,6 @@
-//! Deploying the findings: the enhanced ("robust BlueZ") stack plus a
-//! standby piconet, and what each buys — the paper's future-work agenda
-//! made runnable.
+//! Deploying the findings: a bind that waits for hotplug plus a standby
+//! piconet, and what each buys — the paper's future-work agenda made
+//! runnable.
 //!
 //! ```sh
 //! cargo run --release --example robust_deployment
@@ -9,23 +9,22 @@
 use btpan::prelude::*;
 use btpan_analysis::redundancy::{pooled_series_with_redundancy, RedundancyConfig};
 use btpan_analysis::MarkovAvailability;
-use stack::enhanced::RobustPanStack;
 use stack::hotplug::HotplugDaemon;
 
 fn main() {
     let mut rng = SimRng::seed_from(7);
 
-    // 1. The robust stack survives the worst host in the testbed.
-    println!("1. robust stack on the HAL-bug host (10k connect+bind rounds):");
-    let mut robust = RobustPanStack::new(HotplugDaemon::hal_bug());
+    // 1. Binding at the hotplug interface-up instant survives the worst
+    //    host in the testbed.
+    println!("1. bind at interface-up on the HAL-bug host (10k connect+bind rounds):");
+    let hotplug = HotplugDaemon::hal_bug();
     let mut worst_wait = SimDuration::ZERO;
     for i in 0..10_000u64 {
         let now = btpan_sim::time::SimTime::from_secs(30 * i);
-        let conn = robust.connect_and_bind(now, &mut rng).expect("never fails");
-        worst_wait = worst_wait.max(conn.returned_at.since(now));
-        robust.disconnect().expect("disconnect");
+        let timing = hotplug.sample(now, &mut rng);
+        worst_wait = worst_wait.max(timing.iface_up_at.since(now));
     }
-    println!("   bind failures: 0 (by construction); worst synchronous wait {worst_wait}");
+    println!("   bind failures: 0 (by construction); worst wait for interface-up {worst_wait}");
 
     // 2. Measure a baseline campaign, then replay it with a standby NAP.
     println!("\n2. standby piconet replay over a measured campaign:");

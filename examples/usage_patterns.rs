@@ -12,8 +12,7 @@
 
 use btpan::prelude::*;
 use btpan_sim::time::SimTime;
-use stack::hotplug::HotplugDaemon;
-use stack::socket::IpSocket;
+use stack::hotplug::{HotplugDaemon, SetupTiming};
 
 fn main() {
     let mut rng = SimRng::seed_from(2026);
@@ -66,32 +65,28 @@ fn main() {
         defects(reused, &mut rng)
     );
 
-    // Lesson 4: the bind race, mechanically.
+    // Lesson 4: the bind race, mechanically. An immediate bind fails
+    // whenever hotplug has not finished T_C + T_H; waiting for the
+    // interface-up notification never does.
     println!("\nlesson 4 — wait for T_C and T_H before binding:");
-    let mut pan = stack::pan::PanProfile::new(HotplugDaemon::hal_bug());
-    let mut hci = stack::hci::HciController::default();
+    let hotplug = HotplugDaemon::hal_bug();
+    let bind_after = SimDuration::from_millis(200);
+    let bind_fails = |at: SimTime, timing: &SetupTiming| at < timing.iface_up_at;
     let mut naive_failures = 0;
     let mut masked_failures = 0;
     let attempts = 200_000;
     for i in 0..attempts {
         let now = SimTime::from_secs(10 * i);
-        let conn = pan
-            .connect(now, &mut hci, &mut rng)
-            .expect("connects")
-            .clone();
-        let bind_at = now + SimDuration::from_millis(200);
-        let mut naive = IpSocket::new();
-        if naive.bind(&conn, bind_at).is_err() {
+        let timing = hotplug.sample(now, &mut rng);
+        if bind_fails(now + bind_after, &timing) {
             naive_failures += 1;
         }
-        let mut masked = IpSocket::new();
-        masked.bind_masked(&conn, bind_at);
-        if masked.state() != stack::socket::SocketState::Bound {
+        if bind_fails((now + bind_after).max(timing.iface_up_at), &timing) {
             masked_failures += 1;
         }
-        pan.disconnect(&mut hci).expect("disconnects");
     }
     println!(
-        "  immediate bind failures: {naive_failures}/{attempts}; masked bind failures: {masked_failures}/{attempts}"
+        "  immediate bind failures: {naive_failures}/{attempts} (expected rate {:.4}); masked bind failures: {masked_failures}/{attempts}",
+        hotplug.p_immediate_bind_failure(bind_after)
     );
 }

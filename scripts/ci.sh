@@ -12,10 +12,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Observability overhead contract: disabled-registry instrumentation
 # must stay at relaxed-atomic cost on the bench_stream hot path.
 cargo run --release -p btpan-bench --bin repro_obs_overhead
-# Perf smoke gate: the hot-path fast paths must hold their floors
-# (idle-slot skip >= 3x over the slot-by-slot reference and an absolute
-# slots/s floor) and every fast-vs-reference equivalence check must
-# pass. Emits BENCH_PR4.json at the repo root.
+# Throughput smoke: campaign, multi-piconet and collect/stream rows,
+# failing unless trace re-export after import is byte-identical. The
+# report goes to stdout.
 cargo run --release -p btpan-bench --bin repro_bench -- --quick
 # Topology gate: the two-testbed `paper-both` preset must reproduce the
 # legacy single-testbed Table 4 substrate (failure counters + TTF/TTR
@@ -23,5 +22,7 @@ cargo run --release -p btpan-bench --bin repro_bench -- --quick
 # scatternet smoke campaign must run deterministically with
 # inter-piconet propagation visible in the relationship matrix.
 cargo run --release -p btpan-bench --bin repro_topology -- --quick
+# Self-tests of the benchmark harness's statistics.
+python3 -m unittest discover -s perfbench/tests
 
 echo "ci: all gates passed"

@@ -5,16 +5,20 @@
 //! Russo — DSN 2006): two heterogeneous Bluetooth PAN testbeds under a
 //! 24/7 synthetic workload, the merge-and-coalesce failure-data analysis
 //! pipeline, software-implemented recovery actions, error-masking
-//! strategies, and the dependability improvements they buy.
+//! strategies, and the dependability improvements they buy. The
+//! testbeds run a behavioural failure model (calibrated fault injection,
+//! hotplug setup timing, a calibrated loss model), not a protocol-level
+//! host stack.
 //!
 //! This facade crate re-exports [`btpan_core`]; see the workspace crates
 //! for the individual subsystems:
 //!
-//! * `btpan-sim` — deterministic simulation substrate;
+//! * `btpan-sim` — simulated time, seeded RNG, samplers and statistics;
 //! * `btpan-baseband` — slot-level ACL link (CRC-16, FEC, bursty
-//!   channel, ARQ, piconet TDD);
-//! * `btpan-stack` — HCI/LMP/L2CAP/SDP/BNEP/PAN, USB & BCSP transports,
-//!   the hotplug bind race;
+//!   channel, ARQ) that calibrates the campaign's loss model, piconet
+//!   membership and scatternet bridges;
+//! * `btpan-stack` — the hotplug `T_C`/`T_H` timing behind the bind
+//!   race, bind errors, and per-host stack/transport configuration;
 //! * `btpan-faults` — the failure model of paper Table 1 with the
 //!   calibrated injection profiles of Tables 2–3;
 //! * `btpan-workload` — the Random and Realistic `BlueTest` workloads;
@@ -27,7 +31,8 @@
 //!   four Table 4 recovery policies;
 //! * `btpan-analysis` — TTF/TTR, MTTF/MTTR/availability/coverage, the
 //!   failure-distribution figures, paper reference values;
-//! * `btpan-core` — testbed assembly, campaign simulation, experiments.
+//! * `btpan-core` — machines, topologies, campaign simulation,
+//!   experiments and the `btpan` CLI.
 //!
 //! ## Quickstart
 //!
