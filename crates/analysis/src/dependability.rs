@@ -222,27 +222,6 @@ impl DependabilityReport {
     }
 }
 
-/// Table 4 split per testbed: the paper ran two concurrent testbeds and
-/// pooled them; multi-piconet campaigns report each piconet's own
-/// dependability columns alongside the pooled ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TestbedBreakdown {
-    /// One labelled report per testbed/piconet, in topology order.
-    pub per_testbed: Vec<(String, DependabilityReport)>,
-    /// The pooled report over every testbed (the paper's Table 4 view).
-    pub pooled: DependabilityReport,
-}
-
-impl TestbedBreakdown {
-    /// Looks a testbed's report up by label.
-    pub fn testbed(&self, label: &str) -> Option<&DependabilityReport> {
-        self.per_testbed
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, r)| r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,9 +31,7 @@ pub mod report;
 pub mod tables;
 pub mod ttf;
 
-pub use dependability::{
-    ConfidenceInterval, DependabilityReport, ScenarioMeasurement, TestbedBreakdown,
-};
+pub use dependability::{ConfidenceInterval, DependabilityReport, ScenarioMeasurement};
 pub use distributions::{AgeHistogram, ShareTable};
 pub use markov::MarkovAvailability;
 pub use redundancy::{replay_with_redundancy, RedundancyConfig};

@@ -1,14 +1,11 @@
 //! Bench (`btpan-stream`): ingest throughput of the streaming pipeline
-//! in records/s — the perf baseline for later PRs.
-//!
-//! Two shapes: the single-threaded core (merge + coalescence +
-//! estimators, no channel hops) and the full threaded engine with
-//! bounded channels and backpressure.
+//! (routing, merge, coalescence, estimators) in records/s — the perf
+//! baseline for later PRs.
 
 use btpan_collect::entry::{LogRecord, SystemLogEntry, TestLogEntry, WorkloadTag};
 use btpan_faults::{SystemFault, UserFailure};
 use btpan_sim::time::{SimDuration, SimTime};
-use btpan_stream::{stream_records, StreamConfig, StreamEngine};
+use btpan_stream::{stream_records, StreamConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -72,15 +69,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let outcome = stream_records(black_box(input.clone()), &config());
             black_box(outcome.snapshot.records_emitted)
-        });
-    });
-    group.bench_function("engine/20k_records_4_shards", |b| {
-        b.iter(|| {
-            let mut engine = StreamEngine::start(config());
-            for rec in input.clone() {
-                engine.ingest(rec).expect("engine alive");
-            }
-            black_box(engine.finish().snapshot.records_emitted)
         });
     });
     group.finish();

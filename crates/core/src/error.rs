@@ -16,7 +16,6 @@
 use btpan_baseband::piconet::PiconetError;
 use btpan_collect::trace::TraceError;
 use btpan_sim::config::ConfigError;
-use btpan_stream::IngestError;
 use std::fmt;
 
 use crate::cli::USAGE;
@@ -45,8 +44,6 @@ pub enum Error {
     Config(ConfigError),
     /// Piconet membership violation.
     Piconet(PiconetError),
-    /// The streaming engine refused a record (already shut down).
-    Ingest(IngestError),
 }
 
 impl Error {
@@ -61,7 +58,6 @@ impl Error {
             Error::Checkpoint(_) => "checkpoint",
             Error::Config(_) => "config",
             Error::Piconet(_) => "piconet",
-            Error::Ingest(_) => "ingest",
         }
     }
 
@@ -83,7 +79,6 @@ impl fmt::Display for Error {
             Error::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             Error::Config(e) => write!(f, "config error: {e}"),
             Error::Piconet(e) => write!(f, "piconet error: {e}"),
-            Error::Ingest(e) => write!(f, "ingest error: {e}"),
         }
     }
 }
@@ -96,7 +91,6 @@ impl std::error::Error for Error {
             Error::Trace(e) => Some(e),
             Error::Config(e) => Some(e),
             Error::Piconet(e) => Some(e),
-            Error::Ingest(e) => Some(e),
         }
     }
 }
@@ -116,7 +110,6 @@ impl_from! {
     TraceError => Trace,
     ConfigError => Config,
     PiconetError => Piconet,
-    IngestError => Ingest,
 }
 
 #[cfg(test)]
@@ -133,20 +126,11 @@ mod tests {
             Error::Checkpoint("x".into()),
             Error::Config(ConfigError::new("f", "r")),
             Error::Piconet(PiconetError::Full),
-            Error::Ingest(IngestError),
         ];
         let codes: Vec<&str> = errs.iter().map(Error::code).collect();
         assert_eq!(
             codes,
-            vec![
-                "usage",
-                "io",
-                "trace",
-                "checkpoint",
-                "config",
-                "piconet",
-                "ingest"
-            ]
+            vec!["usage", "io", "trace", "checkpoint", "config", "piconet"]
         );
         let mut unique = codes.clone();
         unique.sort_unstable();

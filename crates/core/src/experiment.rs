@@ -10,9 +10,7 @@ use crate::machine::NAP_NODE_ID;
 use crate::runner::run_seeds;
 use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::topology::Topology;
-use btpan_analysis::dependability::{
-    ConfidenceInterval, DependabilityReport, ScenarioMeasurement, TestbedBreakdown,
-};
+use btpan_analysis::dependability::{ConfidenceInterval, DependabilityReport, ScenarioMeasurement};
 use btpan_analysis::distributions::{self, AgeHistogram, ShareTable};
 use btpan_analysis::ttf::TtfTtrSeries;
 use btpan_collect::relate::RelationshipMatrix;
@@ -195,54 +193,6 @@ pub fn table4(scale: &Scale) -> DependabilityReport {
     DependabilityReport::new(scenarios)
 }
 
-/// **Table 4 per testbed** — the same four-policy comparison split per
-/// testbed of the paper's two-testbed deployment, next to the pooled
-/// columns. Each testbed's columns equal a single-testbed [`table4`]
-/// run at the same seeds (the per-piconet RNG roots are independent).
-pub fn table4_by_testbed(scale: &Scale) -> TestbedBreakdown {
-    let topo = Topology::paper_both();
-    let n = topo.piconets.len();
-    let mut per: Vec<Vec<(String, ScenarioMeasurement)>> = vec![Vec::new(); n];
-    let mut pooled = Vec::new();
-    for policy in RecoveryPolicy::ALL {
-        let results = run_both_workloads(scale, policy);
-        let mut pooled_series = TtfTtrSeries::default();
-        let mut totals = (0u64, 0u64, 0u64);
-        for (i, column) in per.iter_mut().enumerate() {
-            let mut series = TtfTtrSeries::default();
-            let (mut covered, mut masked, mut manifested) = (0u64, 0u64, 0u64);
-            for r in &results {
-                series.extend(&r.piconet_series_of(i));
-                let p = &r.piconets[i];
-                covered += p.covered_count;
-                masked += p.masked_count;
-                manifested += p.failure_count;
-            }
-            pooled_series.extend(&series);
-            totals.0 += covered;
-            totals.1 += masked;
-            totals.2 += manifested;
-            column.push((
-                policy.label().to_string(),
-                ScenarioMeasurement::from_series(&series, covered, masked, manifested),
-            ));
-        }
-        pooled.push((
-            policy.label().to_string(),
-            ScenarioMeasurement::from_series(&pooled_series, totals.0, totals.1, totals.2),
-        ));
-    }
-    TestbedBreakdown {
-        per_testbed: topo
-            .piconets
-            .iter()
-            .map(|p| p.label.clone())
-            .zip(per.into_iter().map(DependabilityReport::new))
-            .collect(),
-        pooled: DependabilityReport::new(pooled),
-    }
-}
-
 /// The streaming/batch cross-check of [`table4_streaming`].
 #[derive(Debug, Clone)]
 pub struct StreamingCrossCheck {
@@ -261,16 +211,11 @@ impl StreamingCrossCheck {
 }
 
 /// **Table 4, streaming** — runs one SIRA campaign per seed, pushes the
-/// collected repository through the threaded `btpan-stream` engine in
-/// canonical order, and cross-checks the end-of-stream snapshot against
-/// the batch reference pipeline on the same records.
-///
-/// # Panics
-///
-/// Panics if the streaming engine dies mid-ingest (worker thread
-/// panic), which would invalidate the comparison anyway.
+/// collected repository through the `btpan-stream` engine in canonical
+/// order, and cross-checks the end-of-stream snapshot against the batch
+/// reference pipeline on the same records.
 pub fn table4_streaming(scale: &Scale) -> StreamingCrossCheck {
-    use btpan_stream::{batch_reference, StreamConfig, StreamEngine, DEFAULT_WINDOW};
+    use btpan_stream::{batch_reference, stream_records, StreamConfig, DEFAULT_WINDOW};
     let config = StreamConfig {
         shards: 4,
         channel_capacity: 1024,
@@ -292,12 +237,8 @@ pub fn table4_streaming(scale: &Scale) -> StreamingCrossCheck {
     for (seq, rec) in records.iter_mut().enumerate() {
         rec.seq = seq as u64;
     }
-    let mut engine = StreamEngine::start(config.clone());
-    for rec in records.clone() {
-        engine.ingest(rec).expect("stream engine alive");
-    }
     StreamingCrossCheck {
-        streaming: engine.finish().snapshot,
+        streaming: stream_records(records.clone(), &config).snapshot,
         batch: batch_reference(&records, &config),
     }
 }

@@ -1,12 +1,12 @@
 //! Checkpoint/resume: serialize the whole pipeline state, restart a
 //! killed stream exactly where it left off.
 //!
-//! A checkpoint is taken at a *barrier* — the engine flushes every
-//! shard channel first (see `StreamEngine::checkpoint`), so the
-//! captured [`StreamCore`] state reflects exactly the first
-//! `source_index` records of the source. Resuming means restoring the
-//! core and replaying the source from `source_index`; every estimator
-//! then continues the same fold it would have performed uninterrupted.
+//! The engine hands each record to the core as it is ingested, so the
+//! captured [`StreamCore`] state (see `StreamEngine::checkpoint`)
+//! reflects exactly the first `source_index` records of the source.
+//! Resuming means restoring the core and replaying the source from
+//! `source_index`; every estimator then continues the same fold it
+//! would have performed uninterrupted.
 
 use crate::core::{ShardState, StreamConfig, StreamCore};
 use crate::estimators::{EpisodeEstimator, MatrixCell, StreamSnapshot};

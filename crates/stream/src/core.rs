@@ -1,11 +1,10 @@
 //! The deterministic streaming pipeline shared by every transport.
 //!
-//! [`StreamCore`] is the single-threaded heart of the engine: shard
-//! merge buffers, watermark bookkeeping, online coalescence and the
-//! streaming estimators. The threaded [`crate::engine::StreamEngine`]
-//! drives it under a mutex; tests and the batch cross-checks drive it
-//! directly. Keeping all state transitions in one place is what makes
-//! the equivalence and checkpoint arguments tractable.
+//! [`StreamCore`] is the heart of the engine: shard merge buffers,
+//! watermark bookkeeping, online coalescence and the streaming
+//! estimators. [`crate::engine::StreamEngine`] owns one and drives it
+//! on the caller's thread. Keeping all state transitions in one place
+//! is what makes the equivalence and checkpoint arguments tractable.
 //!
 //! # Ordering and lateness
 //!
@@ -17,8 +16,8 @@
 //! A record is *late* — quarantined, never emitted — iff it arrives at
 //! or behind its own shard's frontier. Because the frontier is a
 //! function of the shard's own input prefix only, lateness (and hence
-//! every downstream number) is independent of how the OS interleaves
-//! shard threads.
+//! every downstream number) is independent of how the shards' inputs
+//! interleave.
 //!
 //! Emitted records always satisfy `at > W`-at-emission-time, so
 //! closing tuples via `OnlineCoalescer::advance(W)` can never split a
@@ -90,7 +89,8 @@ pub(crate) mod metrics {
 pub struct StreamConfig {
     /// Number of ingestion shards (must be ≥ 1).
     pub shards: usize,
-    /// Bounded capacity of each shard's ingest channel (backpressure).
+    /// Has no effect: the engine has no channels. Kept so existing
+    /// struct literals and saved checkpoints still load.
     pub channel_capacity: usize,
     /// Tupling coalescence window.
     pub window: SimDuration,
@@ -100,7 +100,8 @@ pub struct StreamConfig {
     pub watermark_lag: SimDuration,
     /// Wall-clock silence after which a shard's frontier catches up to
     /// the global max watermark, so one quiet node cannot stall the
-    /// merge (`None` disables the idle kick).
+    /// merge (`None` disables the idle kick). Checked at each
+    /// [`crate::engine::StreamEngine::ingest`].
     pub idle_timeout_ms: Option<u64>,
     /// The NAP's node id (its System Log feeds every relationship).
     pub nap_node: NodeId,
@@ -179,12 +180,6 @@ impl StreamConfigBuilder {
         self
     }
 
-    /// Bounded capacity of each shard's ingest channel.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.config.channel_capacity = capacity;
-        self
-    }
-
     /// Tupling coalescence window.
     pub fn window(mut self, window: SimDuration) -> Self {
         self.config.window = window;
@@ -225,9 +220,6 @@ impl StreamConfigBuilder {
     pub fn build(self) -> Result<StreamConfig, ConfigError> {
         if self.config.shards == 0 {
             return Err(ConfigError::new("shards", "must be at least 1"));
-        }
-        if self.config.channel_capacity == 0 {
-            return Err(ConfigError::new("channel_capacity", "must be at least 1"));
         }
         if self.config.window.as_micros() == 0 {
             return Err(ConfigError::new(
@@ -284,7 +276,7 @@ pub struct StreamOutcome {
     pub quarantine: QuarantineReport,
 }
 
-/// Single-threaded streaming pipeline state machine.
+/// Streaming pipeline state machine.
 #[derive(Debug, Clone)]
 pub struct StreamCore {
     config: StreamConfig,
@@ -746,21 +738,4 @@ impl StreamCore {
             finalized: false,
         }
     }
-}
-
-/// Runs a record iterator through a fresh single-threaded pipeline —
-/// the reference path for tests and the in-process cross-checks. The
-/// records are routed with the standard [`ShardRouter`], so the result
-/// is exactly what the threaded engine converges to.
-pub fn stream_records<I>(records: I, config: &StreamConfig) -> StreamOutcome
-where
-    I: IntoIterator<Item = LogRecord>,
-{
-    let router = config.router();
-    let mut core = StreamCore::new(config.clone());
-    for rec in records {
-        let shard = router.route(rec.node);
-        core.accept(shard, rec);
-    }
-    core.into_outcome()
 }

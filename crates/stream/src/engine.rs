@@ -1,65 +1,34 @@
-//! The threaded ingestion engine: bounded channels in, snapshots out.
+//! The ingestion engine: routes records to shards, snapshots out.
 //!
-//! One worker thread per shard pulls records off a bounded crossbeam
-//! channel and feeds the shared [`StreamCore`]. The channels provide
-//! the backpressure story — a producer outrunning the analysis blocks
-//! on `send` instead of growing an unbounded queue. Because lateness is
-//! decided per shard from the shard's own input order (see
-//! [`crate::core`]), the final numbers are identical no matter how the
-//! scheduler interleaves the workers.
+//! [`StreamEngine`] owns its [`StreamCore`] and drives it on the
+//! caller's thread: each [`StreamEngine::ingest`] routes the record to
+//! its shard and hands it straight to the merge. Shards are logical
+//! merge partitions (per-shard watermarks, frontiers and lateness; see
+//! [`crate::core`]), not threads, so a run is a pure function of its
+//! input order and configuration.
 
 use crate::checkpoint::{capture, Checkpoint};
 use crate::core::{StreamConfig, StreamCore, StreamOutcome};
 use crate::estimators::StreamSnapshot;
 use crate::router::ShardRouter;
 use btpan_collect::entry::LogRecord;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::fmt;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// A record or a checkpoint barrier travelling to a shard worker.
-enum ShardMsg {
-    Record(Box<LogRecord>),
-    Barrier,
-}
-
-/// Error returned by [`StreamEngine::ingest`] when the workers are
-/// gone (the engine was finished or a worker died).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestError;
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "streaming engine is shut down")
-    }
-}
-
-impl std::error::Error for IngestError {}
+use std::convert::Infallible;
+use std::time::{Duration, Instant};
 
 /// Sharded streaming ingestion engine.
 pub struct StreamEngine {
     router: ShardRouter,
-    senders: Vec<Sender<ShardMsg>>,
-    ack_rx: Receiver<usize>,
-    core: Arc<Mutex<StreamCore>>,
-    workers: Vec<JoinHandle<()>>,
+    core: StreamCore,
     ingested: u64,
-    /// `btpan_stream_channel_occupancy{shard=…}` — in-flight records per
-    /// shard channel (how close each shard is to backpressure).
-    occupancy: Vec<btpan_obs::Gauge>,
+    /// Idle timeout and each shard's last wall-clock arrival; `None`
+    /// when the idle kick is disabled.
+    idle: Option<(Duration, Vec<Instant>)>,
 }
 
 impl StreamEngine {
-    /// Starts a fresh engine: spawns one worker per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread cannot be spawned.
+    /// Starts a fresh engine.
     pub fn start(config: StreamConfig) -> Self {
-        let core = StreamCore::new(config);
-        Self::with_core(core, 0)
+        Self::with_core(StreamCore::new(config), 0)
     }
 
     /// Resumes from a checkpoint. The caller must replay the record
@@ -71,58 +40,34 @@ impl StreamEngine {
     }
 
     fn with_core(core: StreamCore, ingested: u64) -> Self {
-        let config = core.config().clone();
-        let core = Arc::new(Mutex::new(core));
-        let (ack_tx, ack_rx) = channel::unbounded();
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = channel::bounded::<ShardMsg>(config.channel_capacity.max(1));
-            let worker_core = Arc::clone(&core);
-            let ack = ack_tx.clone();
-            let idle = config.idle_timeout();
-            let handle = std::thread::Builder::new()
-                .name(format!("btpan-stream-{shard}"))
-                .spawn(move || worker_loop(shard, rx, worker_core, ack, idle))
-                .expect("spawn stream worker");
-            senders.push(tx);
-            workers.push(handle);
-        }
-        let occupancy = (0..config.shards)
-            .map(|shard| {
-                btpan_obs::Registry::global().gauge_with(
-                    "btpan_stream_channel_occupancy",
-                    &[("shard", &shard.to_string())],
-                )
-            })
-            .collect();
+        let config = core.config();
+        let now = Instant::now();
         StreamEngine {
             router: config.router(),
-            senders,
-            ack_rx,
+            idle: config
+                .idle_timeout()
+                .map(|timeout| (timeout, vec![now; config.shards])),
             core,
-            workers,
             ingested,
-            occupancy,
         }
     }
 
-    /// Routes one record to its shard, blocking if that shard's channel
-    /// is full (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError`] if the engine has shut down.
-    pub fn ingest(&mut self, rec: LogRecord) -> Result<(), IngestError> {
+    /// Routes one record to its shard's merge buffer. With an idle
+    /// timeout set, every other shard silent for at least that long
+    /// (wall clock) then has its frontier advanced to the max watermark.
+    /// Never fails; the `Result` keeps `?` and `map_err` callers compiling.
+    pub fn ingest(&mut self, rec: LogRecord) -> Result<(), Infallible> {
         let shard = self.router.route(rec.node);
-        self.senders[shard]
-            .send(ShardMsg::Record(Box::new(rec)))
-            .map_err(|_| IngestError)?;
+        self.core.accept(shard, rec);
         self.ingested += 1;
-        // Gated: Sender::len takes the channel lock, which the disabled
-        // path must not pay.
-        if btpan_obs::Registry::global().is_enabled() {
-            self.occupancy[shard].set(self.senders[shard].len() as i64);
+        if let Some((timeout, last_arrival)) = &mut self.idle {
+            let now = Instant::now();
+            last_arrival[shard] = now;
+            for (silent, last) in last_arrival.iter().enumerate() {
+                if silent != shard && now.duration_since(*last) >= *timeout {
+                    self.core.mark_idle(silent);
+                }
+            }
         }
         Ok(())
     }
@@ -133,72 +78,34 @@ impl StreamEngine {
         self.ingested
     }
 
-    /// A live snapshot of the estimators. In-flight records that have
-    /// not reached their worker yet are not included.
+    /// A live snapshot of the estimators.
     pub fn snapshot(&self) -> StreamSnapshot {
-        self.core.lock().snapshot()
+        self.core.snapshot()
     }
 
-    /// Takes a consistent checkpoint: flushes every shard channel with
-    /// a barrier, waits for all workers to ack, then captures the core.
-    /// The checkpoint covers exactly the records ingested before this
-    /// call.
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Barrier);
-        }
-        let mut acks = 0;
-        while acks < self.senders.len() && self.ack_rx.recv().is_ok() {
-            acks += 1;
-        }
-        capture(&self.core.lock(), self.ingested)
+    /// Takes a checkpoint covering exactly the records ingested so far.
+    pub fn checkpoint(&self) -> Checkpoint {
+        capture(&self.core, self.ingested)
     }
 
-    /// Ends the stream: closes every shard channel, joins the workers
-    /// (each closes its shard, the last one finalizes the pipeline) and
+    /// Ends the stream: closes every shard, finalizes the pipeline and
     /// returns the outcome.
     pub fn finish(self) -> StreamOutcome {
-        drop(self.senders);
-        for handle in self.workers {
-            let _ = handle.join();
-        }
-        Arc::try_unwrap(self.core)
-            .expect("workers joined, no core refs remain")
-            .into_inner()
-            .into_outcome()
+        self.core.into_outcome()
     }
 }
 
-fn worker_loop(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    core: Arc<Mutex<StreamCore>>,
-    ack: Sender<usize>,
-    idle: Option<std::time::Duration>,
-) {
-    loop {
-        let msg = match idle {
-            Some(timeout) => match rx.recv_timeout(timeout) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    core.lock().mark_idle(shard);
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
-        };
-        match msg {
-            ShardMsg::Record(rec) => core.lock().accept(shard, *rec),
-            ShardMsg::Barrier => {
-                let _ = ack.send(shard);
-            }
-        }
+/// Runs a record iterator through a fresh [`StreamEngine`]: start,
+/// ingest each record, finish.
+pub fn stream_records<I>(records: I, config: &StreamConfig) -> StreamOutcome
+where
+    I: IntoIterator<Item = LogRecord>,
+{
+    let mut engine = StreamEngine::start(config.clone());
+    for rec in records {
+        let Ok(()) = engine.ingest(rec);
     }
-    core.lock().close_shard(shard);
+    engine.finish()
 }
 
 #[cfg(test)]
@@ -266,15 +173,15 @@ mod tests {
             engine.ingest(rec).unwrap();
         }
         let outcome = engine.finish();
-        let reference = crate::core::stream_records(records, &config());
-        // Transport fields (peak residency) legitimately vary with the
-        // thread interleaving; the analysis results must not.
-        assert!(
-            outcome.snapshot.analysis_eq(&reference.snapshot),
-            "threaded {:?} != single-threaded {:?}",
-            outcome.snapshot,
-            reference.snapshot
-        );
+        // The reference drives the core by hand, without the engine.
+        let router = config().router();
+        let mut core = StreamCore::new(config());
+        for rec in records {
+            core.accept(router.route(rec.node), rec);
+        }
+        let reference = core.into_outcome();
+        // Peak residency included: no output depends on timing.
+        assert_eq!(outcome.snapshot, reference.snapshot);
         assert_eq!(outcome.tuples, reference.tuples);
         assert_eq!(outcome.snapshot.late_quarantined, 0);
         assert_eq!(outcome.snapshot.duplicates_dropped, 0);
@@ -285,7 +192,7 @@ mod tests {
         // Without the idle kick, a shard that never receives records
         // keeps the global watermark at None and nothing is emitted.
         let mut cfg = config();
-        cfg.idle_timeout_ms = Some(20);
+        cfg.idle_timeout_ms = Some(10_000);
         let router = ShardRouter::new(cfg.shards);
         // Pick node ids that all land on one shard, leaving the other idle.
         let target = router.route(1);
@@ -299,26 +206,28 @@ mod tests {
                 .ingest(sys_rec(i as u64, nodes[i % nodes.len()], 100 + at * 10))
                 .unwrap();
         }
-        // Wait out a few idle timeouts; the silent shard's frontier
-        // must catch up and let the merge emit.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let snap = engine.snapshot();
-            if snap.records_emitted > 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "idle shard stalled the merge: {snap:?}"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        assert_eq!(engine.snapshot().records_emitted, 0);
+        // Backdate every arrival past the timeout: the next ingest
+        // kicks the silent shard, whose frontier catches up and lets
+        // the merge emit.
+        for last in &mut engine.idle.as_mut().expect("idle kick on").1 {
+            *last = last
+                .checked_sub(Duration::from_millis(10_000))
+                .expect("monotonic clock older than the timeout");
         }
+        engine.ingest(sys_rec(50, nodes[0], 600)).unwrap();
+        let snap = engine.snapshot();
+        assert!(
+            snap.records_emitted > 0,
+            "idle shard stalled the merge: {snap:?}"
+        );
+        assert_eq!(snap.late_quarantined, 0);
         let outcome = engine.finish();
-        assert_eq!(outcome.snapshot.records_emitted, 50);
+        assert_eq!(outcome.snapshot.records_emitted, 51);
     }
 
     #[test]
-    fn checkpoint_barrier_covers_all_ingested_records() {
+    fn checkpoint_covers_all_ingested_records() {
         let mut engine = StreamEngine::start(config());
         for i in 0..40u64 {
             engine.ingest(sys_rec(i, 1 + (i % 3), 10 + i * 5)).unwrap();
@@ -329,7 +238,7 @@ mod tests {
             + cp.shards.iter().map(|s| s.buffer.len() as u64).sum::<u64>()
             + cp.counters.late
             + cp.counters.duplicates;
-        assert_eq!(processed, 40, "barrier must flush every in-flight record");
+        assert_eq!(processed, 40, "checkpoint must cover every ingested record");
         let outcome = engine.finish();
         assert_eq!(outcome.snapshot.records_emitted, 40);
     }

@@ -8,17 +8,19 @@
 //! matrix and Table 4 dependability statistics are maintained
 //! incrementally with bounded memory, snapshot-able at any instant.
 //!
-//! Architecture (producer → analysis):
+//! Architecture (producer → analysis), all on the caller's thread:
 //!
 //! ```text
-//!               ┌─ bounded channel ─ worker 0 ─┐
-//!  ShardRouter ─┼─ bounded channel ─ worker 1 ─┼─► StreamCore
-//!  (by node id) └─ bounded channel ─ worker n ─┘    ├ shard merge buffers + watermarks
-//!                                                   ├ OnlineCoalescer (global + per node)
-//!                                                   ├ EpisodeEstimator (Welford MTTF/MTTR)
-//!                                                   ├ RelationshipMatrix accumulator
-//!                                                   └ QuarantineReport (late/duplicates)
+//!  StreamEngine::ingest ─► ShardRouter ─► StreamCore
+//!                          (by node id)   ├ shard merge buffers + watermarks
+//!                                         ├ OnlineCoalescer (global + per node)
+//!                                         ├ EpisodeEstimator (Welford MTTF/MTTR)
+//!                                         ├ RelationshipMatrix accumulator
+//!                                         └ QuarantineReport (late/duplicates)
 //! ```
+//!
+//! Shards are logical merge partitions, each with its own watermark,
+//! frontier and lateness cutoff; they are not threads.
 //!
 //! Guarantees, each backed by a test or property test:
 //!
@@ -44,9 +46,9 @@ pub mod tail;
 pub use crate::batch::batch_reference;
 pub use crate::checkpoint::Checkpoint;
 pub use crate::core::{
-    stream_records, StreamConfig, StreamConfigBuilder, StreamCore, StreamOutcome, DEFAULT_WINDOW,
+    StreamConfig, StreamConfigBuilder, StreamCore, StreamOutcome, DEFAULT_WINDOW,
 };
-pub use crate::engine::{IngestError, StreamEngine};
+pub use crate::engine::{stream_records, StreamEngine};
 pub use crate::estimators::{EpisodeEstimator, MatrixCell, StreamSnapshot};
 pub use crate::router::ShardRouter;
 pub use crate::tail::LineFramer;

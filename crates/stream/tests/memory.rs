@@ -1,12 +1,11 @@
 //! Bounded-memory acceptance: the merge retains O(shards ×
 //! watermark-lag) records, not O(stream length). The stream here is
-//! ~40× larger than the total channel capacity and ~60× larger than
-//! the residency bound the watermark allows.
+//! ~60× larger than the residency bound the watermark allows.
 
 use btpan_collect::entry::{LogRecord, SystemLogEntry};
 use btpan_faults::SystemFault;
 use btpan_sim::time::{SimDuration, SimTime};
-use btpan_stream::{stream_records, StreamConfig, StreamEngine};
+use btpan_stream::{stream_records, StreamConfig};
 
 const TOTAL: u64 = 5_000;
 
@@ -57,25 +56,4 @@ fn resident_records_track_the_watermark_lag_not_the_stream() {
         "peak residency {peak} is within 10x of the stream length"
     );
     assert_eq!(outcome.snapshot.resident_records, 0, "finalize must drain");
-}
-
-#[test]
-fn threaded_engine_stays_bounded_under_backpressure() {
-    let cfg = config();
-    // 5000 records vs 2 shards x 64 slots = 128 buffered at most in
-    // channels: ~40x more input than channel capacity.
-    assert!(TOTAL as usize >= 10 * cfg.shards * cfg.channel_capacity);
-    let mut engine = StreamEngine::start(cfg);
-    for rec in records() {
-        engine.ingest(rec).unwrap();
-    }
-    let outcome = engine.finish();
-    assert_eq!(outcome.snapshot.records_emitted, TOTAL);
-    let peak = outcome.snapshot.peak_resident_records;
-    // Channel capacity adds at most shards x capacity of skew on top of
-    // the watermark-lag residency.
-    assert!(
-        peak <= 600,
-        "threaded peak residency {peak} exceeds lag + channel skew bound"
-    );
 }

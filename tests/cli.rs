@@ -90,3 +90,24 @@ fn degenerate_input_is_rejected_with_typed_errors() {
         );
     }
 }
+
+#[test]
+fn stream_json_is_byte_identical_across_runs() {
+    let trace = temp_path("stream_trace.jsonl");
+    let trace_arg = trace.to_str().expect("utf8 temp path");
+    let exported = btpan(&[
+        "campaign", "--hours", "48", "--seed", "7", "--export", trace_arg,
+    ]);
+    assert_eq!(exported.status.code(), Some(0), "{exported:?}");
+    let run = || btpan(&["stream", trace_arg, "--shards", "2", "--json"]);
+    let (first, second) = (run(), run());
+    assert_eq!(first.status.code(), Some(0), "{first:?}");
+    let stdout = String::from_utf8(first.stdout).expect("utf8 stdout");
+    assert!(stdout.contains("peak_resident_records"), "{stdout}");
+    assert_eq!(
+        stdout.as_bytes(),
+        second.stdout.as_slice(),
+        "peak residency included"
+    );
+    std::fs::remove_file(&trace).ok();
+}
