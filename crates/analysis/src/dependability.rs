@@ -4,90 +4,15 @@
 //! std/min/max), availability `MTTF/(MTTF+MTTR)`, failure-mode coverage
 //! (failures recovered without app restart or reboot — Avižienis et
 //! al.'s failure-assumption coverage) and the masking percentage.
+//!
+//! "Coverage" here always means that failure-mode coverage, not the
+//! share of seeds that completed: a multi-seed run completes every seed
+//! or aborts, so every figure pools the whole requested sample.
 
 use crate::ttf::TtfTtrSeries;
 use btpan_sim::stats::Summary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A 95 % confidence interval around a sample mean, widened when the
-/// campaign behind it only partially completed.
-///
-/// A supervised multi-seed run can lose seeds to panics or deadline
-/// overruns (see `btpan-core`'s supervisor); the surviving sample is
-/// both smaller and potentially biased toward better-behaved seeds. The
-/// honest response is wider error bars: the normal-approximation
-/// half-width `z₀.₉₇₅ · s/√n` is inflated by `1/√coverage`, where
-/// `coverage` is the fraction of requested seeds that completed — at
-/// full coverage the interval is the classical one, at 25 % coverage it
-/// doubles, and at zero coverage it is infinite (no claim can be made).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConfidenceInterval {
-    /// The sample mean.
-    pub mean: f64,
-    /// Half-width of the interval (infinite when fewer than two
-    /// observations or zero coverage).
-    pub half_width: f64,
-    /// The seed-coverage fraction the widening was computed from.
-    pub coverage: f64,
-}
-
-impl ConfidenceInterval {
-    /// `z` at 97.5 % (two-sided 95 %).
-    const Z95: f64 = 1.959_963_984_540_054;
-
-    /// Builds the interval from a sample summary and the campaign's
-    /// seed-coverage fraction (clamped to `[0, 1]`).
-    pub fn from_summary(summary: &Summary, coverage: f64) -> Self {
-        let coverage = coverage.clamp(0.0, 1.0);
-        let n = summary.count as f64;
-        let classical = if summary.count >= 2 {
-            Self::Z95 * summary.std_dev / n.sqrt()
-        } else {
-            f64::INFINITY
-        };
-        let half_width = if coverage > 0.0 {
-            classical / coverage.sqrt()
-        } else {
-            f64::INFINITY
-        };
-        ConfidenceInterval {
-            mean: summary.mean,
-            half_width,
-            coverage,
-        }
-    }
-
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether `x` lies inside the interval.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
-    }
-
-    /// Whether this interval is informative (finite half-width).
-    pub fn is_finite(&self) -> bool {
-        self.half_width.is_finite()
-    }
-}
-
-impl fmt::Display for ConfidenceInterval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_finite() {
-            write!(f, "{:.2} ± {:.2}", self.mean, self.half_width)
-        } else {
-            write!(f, "{:.2} ± ∞", self.mean)
-        }
-    }
-}
 
 /// The measured dependability figures of one scenario (one Table 4
 /// column).
@@ -155,17 +80,6 @@ impl ScenarioMeasurement {
             coverage_percent,
             masking_percent,
         }
-    }
-
-    /// 95 % confidence interval on the MTTF, widened for a partially
-    /// completed campaign (`seed_coverage` ∈ `[0, 1]`).
-    pub fn mttf_ci(&self, seed_coverage: f64) -> ConfidenceInterval {
-        ConfidenceInterval::from_summary(&self.ttf, seed_coverage)
-    }
-
-    /// 95 % confidence interval on the MTTR, widened likewise.
-    pub fn mttr_ci(&self, seed_coverage: f64) -> ConfidenceInterval {
-        ConfidenceInterval::from_summary(&self.ttr, seed_coverage)
     }
 }
 
@@ -280,37 +194,6 @@ mod tests {
             .unwrap();
         assert!((mttf - 202.0).abs() < 3.0, "mttf improvement {mttf}");
         assert!(report.scenario("nope").is_none());
-    }
-
-    #[test]
-    fn ci_widens_with_lost_coverage() {
-        let s = series(&[500, 600, 700, 800, 900, 1000], &[60; 6]);
-        let m = ScenarioMeasurement::from_series(&s, 0, 0, 6);
-        let full = m.mttf_ci(1.0);
-        let half = m.mttf_ci(0.5);
-        let quarter = m.mttf_ci(0.25);
-        assert!((full.mean - 750.0).abs() < 1e-9);
-        assert!(full.is_finite());
-        assert!(full.contains(750.0));
-        // 1/sqrt(coverage) widening: ×√2 at 50 %, ×2 at 25 %.
-        assert!((half.half_width / full.half_width - 2f64.sqrt()).abs() < 1e-9);
-        assert!((quarter.half_width / full.half_width - 2.0).abs() < 1e-9);
-        assert!(half.lo() < full.lo() && half.hi() > full.hi());
-    }
-
-    #[test]
-    fn ci_degenerate_cases() {
-        let s = series(&[500], &[60]);
-        let m = ScenarioMeasurement::from_series(&s, 0, 0, 1);
-        // One observation: no spread estimate, infinite interval.
-        assert!(!m.mttf_ci(1.0).is_finite());
-        // Zero coverage: no completed seeds, infinite interval.
-        let s2 = series(&[500, 700], &[60, 60]);
-        let m2 = ScenarioMeasurement::from_series(&s2, 0, 0, 2);
-        assert!(!m2.mttf_ci(0.0).is_finite());
-        assert!(m2.mttf_ci(1.0).is_finite());
-        assert!(m2.mttf_ci(0.0).to_string().contains('∞'));
-        assert!(m2.mttf_ci(1.0).to_string().contains('±'));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The statistical-analysis stage of the pipeline — the role SAS played
 //! in the paper's lab. Consumes the repository filled by
-//! `btpan-collect` and the recovery outcomes of `btpan-recovery`, and
-//! produces every table and figure of the evaluation:
+//! `btpan-collect` and the failure timelines and recovery outcomes a
+//! campaign records, and produces every table and figure of the
+//! evaluation:
 //!
 //! * [`ttf`] — failure episodes, TTF/TTR series extraction, and the
 //!   uptime/downtime partition of each node's timeline;
@@ -31,7 +32,7 @@ pub mod report;
 pub mod tables;
 pub mod ttf;
 
-pub use dependability::{ConfidenceInterval, DependabilityReport, ScenarioMeasurement};
+pub use dependability::{DependabilityReport, ScenarioMeasurement};
 pub use distributions::{AgeHistogram, ShareTable};
 pub use markov::MarkovAvailability;
 pub use redundancy::{replay_with_redundancy, RedundancyConfig};

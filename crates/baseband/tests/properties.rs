@@ -1,6 +1,6 @@
 //! Property-based tests over the baseband codecs and piconet.
 
-use btpan_baseband::crc::{append_crc, check_crc, crc16_bitwise_with, crc16_with};
+use btpan_baseband::crc::{append_crc, check_crc};
 use btpan_baseband::fec::{
     decode, decode_bytes, decode_bytes_into, encode, encode_bytes, encode_bytes_into, Decoded,
 };
@@ -12,15 +12,6 @@ proptest! {
     fn crc_round_trips(payload in prop::collection::vec(any::<u8>(), 0..256)) {
         let body = append_crc(&payload);
         prop_assert_eq!(check_crc(&body), Some(payload.as_slice()));
-    }
-
-    #[test]
-    fn crc_table_equals_bitwise_reference(payload in prop::collection::vec(any::<u8>(), 0..512),
-                                          init in any::<u16>()) {
-        // The 256-entry table implementation must agree with the
-        // original shift-register loop on arbitrary payloads from
-        // arbitrary register states.
-        prop_assert_eq!(crc16_with(init, &payload), crc16_bitwise_with(init, &payload));
     }
 
     #[test]

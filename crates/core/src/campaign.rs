@@ -108,9 +108,9 @@ impl LossModel {
     /// Memoized process-wide: calibration only *forks* from `rng` (it
     /// never draws, so `rng`'s own stream is untouched either way),
     /// which makes the result a pure function of the fork-lineage seed
-    /// and `base_drop`. Every Table-4 policy column and every
-    /// supervisor retry re-calibrates with the same key, and each
-    /// uncached run simulates 720 000 payloads at slot fidelity.
+    /// and `base_drop`. Every Table-4 policy column re-calibrates with
+    /// the same key, and each uncached run simulates 720 000 payloads at
+    /// slot fidelity.
     pub fn calibrate(base_drop: f64, rng: &mut SimRng) -> Self {
         static CACHE: OnceLock<Mutex<HashMap<(u64, u64), LossModel>>> = OnceLock::new();
         let key = (rng.seed(), base_drop.to_bits());

@@ -7,9 +7,8 @@
 //! * `analyze PATH` — import a trace and run merge-and-coalesce on it,
 //!   printing the error–failure relationship summary; `--lenient-import`
 //!   quarantines undecodable lines instead of aborting;
-//! * `table4` — the four-policy dependability comparison;
-//!   `--max-retries` / `--seed-timeout` run it under the fault-tolerant
-//!   supervisor and report coverage-widened confidence intervals;
+//! * `table4` — the four-policy dependability comparison, pooled over
+//!   `--seeds` campaigns run on [`crate::runner::run_seeds`]'s pool;
 //! * `stream` — tail a JSONL trace through the `btpan-stream` engine
 //!   and print live Table-2/Table-4 snapshots, with optional
 //!   checkpoint/resume;
@@ -19,7 +18,10 @@
 //! * `markov` — fit and print the analytic availability model.
 //!
 //! All parsing and execution lives here (returning the output as a
-//! string) so it is unit-testable; the binary is a thin wrapper.
+//! string) so it is unit-testable; the binary is a thin wrapper. Each
+//! command accepts exactly the flags it reads (the [`USAGE`] text lists
+//! them); any other `--flag` is a usage error rather than being
+//! silently ignored.
 //!
 //! Every `--json` output is wrapped in one envelope (schema documented
 //! in the README): `{"schema_version":…,"command":…,"data":…,
@@ -34,7 +36,6 @@
 use crate::campaign::{Campaign, CampaignConfig};
 use crate::experiment::{self, Scale};
 use crate::machine::NAP_NODE_ID;
-use crate::supervisor::SupervisorConfig;
 use crate::topology::Topology;
 use btpan_collect::entry::LogRecord;
 use btpan_collect::relate::RelationshipMatrix;
@@ -109,11 +110,72 @@ USAGE:
                [--follow] [--poll-ms MS] [--idle-exit POLLS] [--idle-timeout-ms MS]
                [--checkpoint PATH] [--resume PATH] [--json]
                [--metrics-out PATH] [--metrics-every SECS]
-  btpan table4 [--seeds N] [--hours H] [--max-retries N] [--seed-timeout SECS] [--json]
+  btpan table4 [--seeds N] [--hours H] [--json]
   btpan metrics [--from PATH] [--prometheus | --json]
   btpan markov [--seeds N] [--hours H]
   btpan model
   btpan help";
+
+/// The flags each command reads, as `(command, valued, switches)`:
+/// a valued flag takes the next argument as its value, a switch stands
+/// alone. [`USAGE`] documents exactly these.
+const COMMAND_FLAGS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "campaign",
+        &[
+            "--workload",
+            "--policy",
+            "--topology",
+            "--hours",
+            "--seed",
+            "--export",
+            "--metrics-out",
+        ],
+        &["--json"],
+    ),
+    ("analyze", &["--window"], &["--lenient-import", "--json"]),
+    (
+        "stream",
+        &[
+            "--window",
+            "--lag",
+            "--shards",
+            "--snapshot-every",
+            "--poll-ms",
+            "--idle-exit",
+            "--idle-timeout-ms",
+            "--checkpoint",
+            "--resume",
+            "--metrics-out",
+            "--metrics-every",
+        ],
+        &["--follow", "--json"],
+    ),
+    ("table4", &["--seeds", "--hours"], &["--json"]),
+    ("metrics", &["--from"], &["--prometheus", "--json"]),
+    ("markov", &["--seeds", "--hours"], &[]),
+    ("model", &[], &[]),
+];
+
+/// Rejects any `--flag` in `args` (a command's arguments, positional
+/// `PATH` included) that `command` does not read. The argument after a
+/// valued flag is its value, never a flag of its own.
+fn reject_unread_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    let Some(&(_, valued, switches)) = COMMAND_FLAGS.iter().find(|(c, _, _)| *c == command) else {
+        return Ok(());
+    };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Err(CliError::Usage(format!(
+                "`{command}` does not take `{arg}`"
+            )));
+        }
+    }
+    Ok(())
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -201,6 +263,9 @@ impl CliOutcome {
 /// Returns a [`CliError`] for unknown commands, bad flags, or I/O
 /// problems.
 pub fn run_cli(args: &[String]) -> Result<CliOutcome, CliError> {
+    if let Some((command, rest)) = args.split_first() {
+        reject_unread_flags(command, rest)?;
+    }
     match args.first().map(String::as_str) {
         Some("campaign") => cmd_campaign(&args[1..]).map(CliOutcome::ok),
         Some("analyze") => cmd_analyze(&args[1..]),
@@ -690,129 +755,47 @@ fn cmd_stream(args: &[String]) -> Result<CliOutcome, CliError> {
 
 fn cmd_table4(args: &[String]) -> Result<String, CliError> {
     let scale = scale_from(args)?;
-    let max_retries = flag_value(args, "--max-retries")
-        .map(|v| {
-            v.parse::<u32>().map_err(|_| {
-                CliError::Usage(format!("--max-retries expects an integer, got `{v}`"))
-            })
-        })
-        .transpose()?;
-    let seed_timeout = flag_value(args, "--seed-timeout")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(std::time::Duration::from_secs)
-                .map_err(|_| {
-                    CliError::Usage(format!("--seed-timeout expects whole seconds, got `{v}`"))
-                })
-        })
-        .transpose()?;
-    let json = has_flag(args, "--json");
-    if max_retries.is_none() && seed_timeout.is_none() {
-        let report = experiment::table4(&scale);
-        if json {
-            let scenarios = report
-                .scenarios
-                .iter()
-                .map(|(label, m)| {
-                    Value::Object(vec![
-                        ("label".into(), Value::String(label.clone())),
-                        ("mttf_s".into(), Value::Number(Number::F64(m.mttf_s))),
-                        ("mttr_s".into(), Value::Number(Number::F64(m.mttr_s))),
-                        (
-                            "availability".into(),
-                            Value::Number(Number::F64(m.availability)),
-                        ),
-                        (
-                            "coverage_percent".into(),
-                            Value::Number(Number::F64(m.coverage_percent)),
-                        ),
-                        (
-                            "masking_percent".into(),
-                            Value::Number(Number::F64(m.masking_percent)),
-                        ),
-                    ])
-                })
-                .collect();
-            let data = Value::Object(vec![
-                ("mode".into(), Value::String("plain".into())),
-                ("scenarios".into(), Value::Array(scenarios)),
-            ]);
-            return Ok(json_envelope("table4", data, 0));
-        }
-        let mut out = format!(
-            "{:<26} {:>9} {:>9} {:>7} {:>7} {:>7}\n",
-            "scenario", "MTTF", "MTTR", "avail", "cov%", "mask%"
-        );
-        for (label, m) in &report.scenarios {
-            out.push_str(&format!(
-                "{label:<26} {:>9.1} {:>9.1} {:>7.3} {:>7.1} {:>7.1}\n",
-                m.mttf_s, m.mttr_s, m.availability, m.coverage_percent, m.masking_percent
-            ));
-        }
-        return Ok(out);
-    }
-    let supervisor = SupervisorConfig {
-        max_retries: max_retries.unwrap_or(0),
-        seed_timeout,
-        campaign_seed: scale.seeds.first().copied().unwrap_or(0),
-        ..SupervisorConfig::default()
-    };
-    let supervised = experiment::table4_supervised(&scale, &supervisor);
-    if json {
-        let scenarios = supervised
+    let report = experiment::table4(&scale);
+    if has_flag(args, "--json") {
+        let scenarios = report
             .scenarios
             .iter()
-            .map(|s| {
+            .map(|(label, m)| {
                 Value::Object(vec![
-                    ("label".into(), Value::String(s.label.clone())),
-                    (
-                        "mttf_s".into(),
-                        Value::Number(Number::F64(s.measurement.mttf_s)),
-                    ),
-                    (
-                        "mttr_s".into(),
-                        Value::Number(Number::F64(s.measurement.mttr_s)),
-                    ),
+                    ("label".into(), Value::String(label.clone())),
+                    ("mttf_s".into(), Value::Number(Number::F64(m.mttf_s))),
+                    ("mttr_s".into(), Value::Number(Number::F64(m.mttr_s))),
                     (
                         "availability".into(),
-                        Value::Number(Number::F64(s.measurement.availability)),
+                        Value::Number(Number::F64(m.availability)),
                     ),
-                    ("coverage".into(), Value::Number(Number::F64(s.coverage))),
-                    ("mttf_ci".into(), Value::String(s.mttf_ci.to_string())),
+                    (
+                        "coverage_percent".into(),
+                        Value::Number(Number::F64(m.coverage_percent)),
+                    ),
+                    (
+                        "masking_percent".into(),
+                        Value::Number(Number::F64(m.masking_percent)),
+                    ),
                 ])
             })
             .collect();
+        // `mode` has a single value; it stays so the envelope's `data`
+        // keeps the shape scripts already parse.
         let data = Value::Object(vec![
-            ("mode".into(), Value::String("supervised".into())),
-            (
-                "attempts".into(),
-                Value::Number(Number::U64(supervised.attempts)),
-            ),
-            (
-                "min_coverage".into(),
-                Value::Number(Number::F64(supervised.min_coverage())),
-            ),
+            ("mode".into(), Value::String("plain".into())),
             ("scenarios".into(), Value::Array(scenarios)),
         ]);
         return Ok(json_envelope("table4", data, 0));
     }
     let mut out = format!(
-        "supervised run: {} attempts, min seed coverage {:.2}\n",
-        supervised.attempts,
-        supervised.min_coverage()
+        "{:<26} {:>9} {:>9} {:>7} {:>7} {:>7}\n",
+        "scenario", "MTTF", "MTTR", "avail", "cov%", "mask%"
     );
-    out.push_str(&format!(
-        "{:<26} {:>16} {:>9} {:>7} {:>9}\n",
-        "scenario", "MTTF (95% CI)", "MTTR", "avail", "coverage"
-    ));
-    for s in &supervised.scenarios {
+    for (label, m) in &report.scenarios {
         out.push_str(&format!(
-            "{:<26} {:>16} {:>9.1} {:>7.3} {:>9.2}\n",
-            s.label,
-            s.mttf_ci.to_string(),
-            s.measurement.mttr_s,
-            s.measurement.availability,
-            s.coverage
+            "{label:<26} {:>9.1} {:>9.1} {:>7.3} {:>7.1} {:>7.1}\n",
+            m.mttf_s, m.mttr_s, m.availability, m.coverage_percent, m.masking_percent
         ));
     }
     Ok(out)
@@ -1293,26 +1276,37 @@ mod tests {
     }
 
     #[test]
-    fn table4_supervised_flags() {
-        let out = run(&args(&[
-            "table4",
-            "--seeds",
-            "1",
-            "--hours",
-            "2",
-            "--max-retries",
-            "1",
-            "--seed-timeout",
-            "600",
-        ]))
-        .unwrap();
-        assert!(out.contains("supervised run"), "{out}");
-        assert!(out.contains("min seed coverage 1.00"), "{out}");
-        assert!(out.contains("95% CI"), "{out}");
-        let err = run(&args(&["table4", "--max-retries", "many"])).unwrap_err();
-        assert!(err.to_string().contains("--max-retries"));
-        let err = run(&args(&["table4", "--seed-timeout", "1.5"])).unwrap_err();
-        assert!(err.to_string().contains("--seed-timeout"));
+    fn usage_lists_exactly_the_flags_each_command_reads() {
+        let mut documented: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1) {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"btpan") {
+                let command = words.nth(1).expect("command after `btpan`");
+                documented.push((command, Vec::new()));
+            }
+            let (_, flags) = documented.last_mut().expect("usage starts with a command");
+            flags.extend(
+                words
+                    .map(|w| w.trim_matches(|c: char| c == '[' || c == ']'))
+                    .filter(|w| w.starts_with("--")),
+            );
+        }
+        for &(command, valued, switches) in COMMAND_FLAGS {
+            let mut read: Vec<&str> = valued.iter().chain(switches).copied().collect();
+            let (_, usage) = documented
+                .iter_mut()
+                .find(|(c, _)| *c == command)
+                .unwrap_or_else(|| panic!("`{command}` missing from USAGE"));
+            read.sort_unstable();
+            usage.sort_unstable();
+            assert_eq!(read, *usage, "{command}");
+        }
+        // A valued flag's argument is its value even when it looks like
+        // a flag; a positional PATH is never taken for one.
+        reject_unread_flags("campaign", &args(&["--export", "--out.jsonl"])).unwrap();
+        reject_unread_flags("analyze", &args(&["t.jsonl", "--lenient-import"])).unwrap();
+        let err = reject_unread_flags("stream", &args(&["t.jsonl", "--shard", "2"])).unwrap_err();
+        assert!(err.to_string().contains("`--shard`"), "{err}");
     }
 
     #[test]
@@ -1393,7 +1387,7 @@ mod tests {
     }
 
     #[test]
-    fn table4_json_envelope_has_both_modes() {
+    fn table4_json_envelope_is_plain() {
         let plain = run(&args(&["table4", "--seeds", "1", "--hours", "2", "--json"])).unwrap();
         let data = envelope(&plain, "table4", 0);
         assert_eq!(data.get("mode").and_then(Value::as_str), Some("plain"));
@@ -1403,23 +1397,6 @@ mod tests {
         };
         assert_eq!(scenarios.len(), 4, "one per recovery policy");
         assert!(scenarios[0].get("mttf_s").and_then(Value::as_f64).is_some());
-
-        let supervised = run(&args(&[
-            "table4",
-            "--seeds",
-            "1",
-            "--hours",
-            "2",
-            "--max-retries",
-            "1",
-            "--json",
-        ]))
-        .unwrap();
-        let data = envelope(&supervised, "table4", 0);
-        assert_eq!(data.get("mode").and_then(Value::as_str), Some("supervised"));
-        // 4 policies × 1 two-testbed seed.
-        assert!(data.get("attempts").and_then(Value::as_u64).unwrap() >= 4);
-        assert_eq!(data.get("min_coverage").and_then(Value::as_f64), Some(1.0));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 use crate::campaign::{Campaign, CampaignConfig, CampaignResult};
 use crate::machine::NAP_NODE_ID;
 use crate::runner::run_seeds;
-use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::topology::Topology;
-use btpan_analysis::dependability::{ConfidenceInterval, DependabilityReport, ScenarioMeasurement};
+use btpan_analysis::dependability::{DependabilityReport, ScenarioMeasurement};
 use btpan_analysis::distributions::{self, AgeHistogram, ShareTable};
 use btpan_analysis::ttf::TtfTtrSeries;
 use btpan_collect::relate::RelationshipMatrix;
@@ -240,95 +239,6 @@ pub fn table4_streaming(scale: &Scale) -> StreamingCrossCheck {
     StreamingCrossCheck {
         streaming: stream_records(records.clone(), &config).snapshot,
         batch: batch_reference(&records, &config),
-    }
-}
-
-/// One Table 4 column measured under supervision: the measurement plus
-/// the seed coverage it was computed from and coverage-widened error
-/// bars.
-#[derive(Debug, Clone)]
-pub struct SupervisedScenario {
-    /// The recovery-policy label (Table 4 column header).
-    pub label: String,
-    /// The pooled measurement over the seeds that completed.
-    pub measurement: ScenarioMeasurement,
-    /// Fraction of requested per-seed campaigns that completed.
-    pub coverage: f64,
-    /// 95 % CI on the MTTF, widened by `1/√coverage`.
-    pub mttf_ci: ConfidenceInterval,
-    /// 95 % CI on the MTTR, widened likewise.
-    pub mttr_ci: ConfidenceInterval,
-}
-
-/// **Table 4 under supervision** — the same four-policy comparison as
-/// [`table4`], but run through the fault-tolerant supervisor so a
-/// panicking or overrunning seed degrades coverage instead of aborting
-/// the experiment.
-#[derive(Debug, Clone)]
-pub struct SupervisedTable4 {
-    /// One entry per recovery policy, in [`RecoveryPolicy::ALL`] order.
-    pub scenarios: Vec<SupervisedScenario>,
-    /// Total campaign attempts across all policies (> requested count
-    /// when retries fired).
-    pub attempts: u64,
-}
-
-impl SupervisedTable4 {
-    /// The plain report (for the existing table renderers).
-    pub fn report(&self) -> DependabilityReport {
-        DependabilityReport::new(
-            self.scenarios
-                .iter()
-                .map(|s| (s.label.clone(), s.measurement))
-                .collect(),
-        )
-    }
-
-    /// The worst per-policy coverage — the honest headline figure.
-    pub fn min_coverage(&self) -> f64 {
-        self.scenarios
-            .iter()
-            .map(|s| s.coverage)
-            .fold(1.0, f64::min)
-    }
-}
-
-/// Runs [`table4`] under a [`SupervisorConfig`]: every per-seed
-/// two-testbed campaign is panic-isolated, retried per the config, and
-/// bounded by its per-seed deadline; lost campaigns shrink the coverage
-/// fraction, which in turn widens the per-column confidence intervals.
-pub fn table4_supervised(scale: &Scale, supervisor: &SupervisorConfig) -> SupervisedTable4 {
-    let mut scenarios = Vec::new();
-    let mut attempts = 0;
-    for policy in RecoveryPolicy::ALL {
-        let duration = scale.duration;
-        let outcome = run_supervised(&scale.seeds, supervisor, |seed| {
-            Campaign::new(CampaignConfig::paper_both(seed, policy).duration(duration)).run()
-        });
-        attempts += outcome.attempts;
-        let coverage = outcome.coverage();
-        let mut series = TtfTtrSeries::default();
-        let mut covered = 0;
-        let mut masked = 0;
-        let mut manifested = 0;
-        for r in outcome.results.iter().flatten() {
-            extend_per_piconet(&mut series, r);
-            covered += r.covered_count;
-            masked += r.masked_count;
-            manifested += r.failure_count;
-        }
-        let measurement = ScenarioMeasurement::from_series(&series, covered, masked, manifested);
-        scenarios.push(SupervisedScenario {
-            label: policy.label().to_string(),
-            mttf_ci: measurement.mttf_ci(coverage),
-            mttr_ci: measurement.mttr_ci(coverage),
-            measurement,
-            coverage,
-        });
-    }
-    SupervisedTable4 {
-        scenarios,
-        attempts,
     }
 }
 
@@ -619,34 +529,6 @@ mod extension_tests {
         assert!(absorbed > 0, "nothing absorbed out of {total}");
         assert!(absorbed <= total);
         assert!(redundant >= base, "redundancy hurt: {base} -> {redundant}");
-    }
-
-    #[test]
-    fn table4_supervised_at_full_coverage_matches_plain_table4() {
-        let scale = Scale {
-            seeds: vec![3],
-            duration: SimDuration::from_secs(4 * 3600),
-        };
-        let plain = table4(&scale);
-        let supervised = table4_supervised(&scale, &crate::supervisor::SupervisorConfig::default());
-        assert!((supervised.min_coverage() - 1.0).abs() < 1e-12);
-        assert_eq!(supervised.attempts, 4); // 4 policies × 1 two-testbed seed
-        let report = supervised.report();
-        assert_eq!(report.scenarios.len(), plain.scenarios.len());
-        for ((la, ma), (lb, mb)) in report.scenarios.iter().zip(plain.scenarios.iter()) {
-            assert_eq!(la, lb);
-            assert_eq!(ma.mttf_s, mb.mttf_s, "{la}: supervision changed the data");
-            assert_eq!(ma.availability, mb.availability);
-        }
-        for s in &supervised.scenarios {
-            assert_eq!(s.mttf_ci.coverage, 1.0);
-            assert!(s.mttf_ci.contains(s.measurement.mttf_s));
-            // Losing half the seeds must widen the error bars.
-            let degraded = s.measurement.mttf_ci(0.5);
-            if s.mttf_ci.is_finite() {
-                assert!(degraded.half_width > s.mttf_ci.half_width);
-            }
-        }
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //! * [`experiment`] — one entry point per paper artifact (Table 2–4,
 //!   Fig. 2–4, section-6 findings), each returning both the measured
 //!   values and the paper references;
-//! * [`runner`] — the strict multi-seed parallel campaign runner;
-//! * [`supervisor`] — its fault-tolerant core: panic-isolated workers,
-//!   bounded retry with deterministic backoff, per-seed wall-clock
-//!   budgets, and coverage accounting for partial campaigns;
+//! * [`runner`] — the multi-seed parallel campaign runner;
 //! * [`cli`] — the `btpan` command-line tool (campaign / analyze /
 //!   table4 / markov).
 
@@ -34,16 +31,12 @@ pub mod error;
 pub mod experiment;
 pub mod machine;
 pub mod runner;
-pub mod supervisor;
 pub mod topology;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult};
 pub use error::Error;
 pub use machine::{node_name, paper_machines, MachineRole};
 pub use runner::run_seeds;
-pub use supervisor::{
-    run_supervised, SeedVerdict, SupervisedOutcome, SupervisorConfig, SupervisorConfigBuilder,
-};
 pub use topology::{BridgeSpec, LinkSpec, MachineSpec, PiconetSpec, Topology};
 
 /// Convenient re-exports of the whole stack for downstream users.

@@ -4,63 +4,151 @@
 //! time; ours comes from running many shorter, independently seeded
 //! campaigns in parallel and pooling their results.
 //!
-//! [`run_seeds`] is the historical strict entry point: every seed must
-//! complete, and a worker panic aborts the whole run. It is now a thin
-//! wrapper over [`crate::supervisor::run_supervised`] with a
-//! zero-tolerance [`SupervisorConfig`] — no retries, no deadline —
-//! so its semantics are unchanged while the fault-tolerant path shares
-//! the same pool. Callers that want panic isolation, retry, or per-seed
-//! budgets use the supervisor directly.
+//! [`run_seeds`] is the one seed pool. Each seed's campaign is a
+//! deterministic function of its seed, so a seed that panics would
+//! panic again on any retry: a panic aborts the whole run and names the
+//! seed instead.
 
 use crate::campaign::{Campaign, CampaignConfig, CampaignResult};
-use crate::supervisor::{run_supervised, SeedVerdict, SupervisorConfig};
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
+use std::time::Instant;
+
+mod metrics {
+    use btpan_obs::{Counter, Gauge, Histogram, Registry};
+    use std::sync::OnceLock;
+
+    /// The pool's instrumentation. The `btpan_supervisor_*` names stay
+    /// because the benchmark's traced `table4-day` run reads them.
+    pub(super) struct PoolMetrics {
+        /// `btpan_supervisor_attempts_total` — seeds started (one per
+        /// seed).
+        pub attempts: Counter,
+        /// `btpan_supervisor_workers_busy` — workers currently running a
+        /// seed's campaign (worker utilization).
+        pub workers_busy: Gauge,
+        /// `btpan_supervisor_seed_duration_us` — wall-clock time per
+        /// seed.
+        pub seed_duration_us: Histogram,
+    }
+
+    pub(super) fn handles() -> &'static PoolMetrics {
+        static HANDLES: OnceLock<PoolMetrics> = OnceLock::new();
+        HANDLES.get_or_init(|| {
+            let registry = Registry::global();
+            PoolMetrics {
+                attempts: registry.counter("btpan_supervisor_attempts_total"),
+                workers_busy: registry.gauge("btpan_supervisor_workers_busy"),
+                seed_duration_us: registry.histogram("btpan_supervisor_seed_duration_us"),
+            }
+        })
+    }
+}
 
 /// Runs one campaign per seed in parallel threads, returning the results
 /// in seed order.
 ///
+/// The pool has one worker per available core, capped at the seed
+/// count; each worker takes the next unclaimed seed until none is left.
 /// `make_config` builds the configuration for each seed (it must embed
 /// the seed itself).
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
+/// Panics, naming the seed, if a seed's `make_config` or campaign
+/// panics.
 pub fn run_seeds<F>(seeds: &[u64], make_config: F) -> Vec<CampaignResult>
 where
     F: Fn(u64) -> CampaignConfig + Send + Sync,
 {
-    let outcome = run_supervised(seeds, &SupervisorConfig::default(), |seed| {
-        Campaign::new(make_config(seed)).run()
+    let workers = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(seeds.len());
+    let next = AtomicUsize::new(0);
+    let worker = || -> Result<Vec<(usize, CampaignResult)>, String> {
+        let obs = metrics::handles();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the index only hands out seeds; results travel
+            // back through `join`.
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&seed) = seeds.get(index) else {
+                return Ok(done);
+            };
+            obs.attempts.inc();
+            obs.workers_busy.inc();
+            let start = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| Campaign::new(make_config(seed)).run()));
+            obs.workers_busy.dec();
+            obs.seed_duration_us
+                .observe(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+            match outcome {
+                Ok(result) => done.push((index, result)),
+                Err(payload) => {
+                    return Err(format!(
+                        "campaign worker for seed {seed} panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                }
+            }
+        }
+    };
+    let per_worker: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("workers catch their seeds' panics"))
+            .collect()
     });
-    if let Some((i, SeedVerdict::Panicked(msg))) = outcome
-        .verdicts
-        .iter()
-        .enumerate()
-        .find(|(_, v)| matches!(v, SeedVerdict::Panicked(_)))
-        .map(|(i, v)| (i, v.clone()))
-    {
-        panic!("campaign worker for seed {} panicked: {msg}", seeds[i]);
+    let mut results = Vec::with_capacity(seeds.len());
+    for done in per_worker {
+        results.extend(done.unwrap_or_else(|message| panic!("{message}")));
     }
-    outcome.into_results()
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btpan_collect::trace::export_trace;
     use btpan_recovery::RecoveryPolicy;
     use btpan_sim::time::SimDuration;
     use btpan_workload::WorkloadKind;
 
     #[test]
     fn parallel_matches_sequential() {
+        // Nine unsorted seeds: with fewer cores than seeds, workers claim
+        // several seeds each and finish them out of input order.
+        let seeds = [9u64, 3, 7, 1, 8, 2, 6, 4, 5];
         let mk = |seed| {
             CampaignConfig::paper(seed, WorkloadKind::Random, RecoveryPolicy::Siras)
-                .duration(SimDuration::from_secs(1_800))
+                .duration(SimDuration::from_secs(600))
         };
-        let parallel = run_seeds(&[1, 2, 3], mk);
-        for (i, seed) in [1u64, 2, 3].iter().enumerate() {
-            let solo = Campaign::new(mk(*seed)).run();
-            assert_eq!(parallel[i].failure_count, solo.failure_count, "seed {seed}");
-            assert_eq!(parallel[i].cycles_run, solo.cycles_run);
+        let pooled = run_seeds(&seeds, mk);
+        assert_eq!(pooled.len(), seeds.len());
+        for (result, &seed) in pooled.iter().zip(&seeds) {
+            let solo = Campaign::new(mk(seed)).run();
+            assert_eq!(result.cycles_run, solo.cycles_run, "seed {seed}");
+            assert_eq!(result.failure_count, solo.failure_count, "seed {seed}");
+            assert_eq!(
+                export_trace(&result.repository),
+                export_trace(&solo.repository),
+                "seed {seed}"
+            );
         }
     }
 

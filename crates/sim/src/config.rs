@@ -1,9 +1,9 @@
 //! Configuration validation support shared by the workspace's builders.
 //!
 //! Lives in `btpan-sim` (the bottom of the dependency graph) so that the
-//! campaign, supervisor and stream config builders — which sit in crates
-//! that cannot depend on each other — all fail construction with the same
-//! error type, which the workspace-level `btpan::Error` then wraps.
+//! campaign and stream config builders — which sit in crates that cannot
+//! depend on each other — both fail construction with the same error
+//! type, which the workspace-level `btpan::Error` then wraps.
 
 use std::error::Error as StdError;
 use std::fmt;

@@ -1,89 +1,25 @@
-//! End-to-end dependability of the harness itself: a supervised
-//! multi-seed campaign where workers panic, overrun their deadline and
-//! ship over a corrupting pipeline — and the run still produces
-//! aggregated, correctly-attributed results.
+//! End-to-end dependability of the collection pipeline: a campaign's
+//! trace shipped over a corrupting channel is rejected by the strict
+//! importer and quarantined line by line by the lenient one, which keeps
+//! the rest analyzable.
 
 use btpan_collect::chaos::{inject, ChaosConfig};
 use btpan_collect::trace::{export_trace, import_trace, import_trace_lenient};
 use btpan_core::prelude::*;
-use btpan_core::supervisor::{run_supervised, SeedVerdict, SupervisorConfig};
 use btpan_recovery::RecoveryPolicy;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
-
-const OK: u64 = 101;
-const PANICKER: u64 = 102;
-const SLEEPER: u64 = 103;
-const FLAKY: u64 = 104;
-
-fn campaign(seed: u64) -> CampaignResult {
-    Campaign::new(
-        CampaignConfig::paper(seed, WorkloadKind::Random, RecoveryPolicy::Siras)
-            .duration(SimDuration::from_secs(8 * 3600)),
-    )
-    .run()
-}
 
 #[test]
-fn supervised_campaign_survives_worker_and_pipeline_faults() {
-    let flaky_attempts = AtomicU32::new(0);
-    let config = SupervisorConfig {
-        max_retries: 2,
-        seed_timeout: Some(Duration::from_secs(5)),
-        backoff_base: Duration::from_millis(5),
-        campaign_seed: 7,
-        workers: None,
-    };
-    let seeds = [OK, PANICKER, SLEEPER, FLAKY];
-    let outcome = run_supervised(&seeds, &config, |seed| match seed {
-        PANICKER => panic!("injected worker crash"),
-        SLEEPER => {
-            std::thread::sleep(Duration::from_secs(6));
-            campaign(seed)
-        }
-        FLAKY => {
-            if flaky_attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient worker crash");
-            }
-            campaign(seed)
-        }
-        _ => campaign(seed),
-    });
+fn corrupted_trace_is_quarantined_line_by_line() {
+    let result = Campaign::new(
+        CampaignConfig::paper(101, WorkloadKind::Random, RecoveryPolicy::Siras)
+            .duration(SimDuration::from_secs(8 * 3600)),
+    )
+    .run();
 
-    // Per-seed attribution: every fate is reported, none aborts the run.
-    assert_eq!(outcome.seeds, seeds);
-    assert_eq!(outcome.verdict_of(OK), Some(&SeedVerdict::Ok));
-    match outcome.verdict_of(PANICKER) {
-        Some(SeedVerdict::Panicked(msg)) => {
-            assert!(msg.contains("injected worker crash"), "{msg}")
-        }
-        other => panic!("expected Panicked, got {other:?}"),
-    }
-    assert_eq!(outcome.verdict_of(SLEEPER), Some(&SeedVerdict::TimedOut));
-    assert_eq!(outcome.verdict_of(FLAKY), Some(&SeedVerdict::Retried(1)));
-
-    // Aggregation: the two surviving seeds are present, coverage is
-    // honest, and the panicking seed burned its retry budget.
-    assert_eq!(outcome.completed().count(), 2);
-    assert!((outcome.coverage() - 0.5).abs() < 1e-12);
-    assert_eq!(outcome.attempts, 1 + 3 + 1 + 2);
-    assert!(outcome.results[0].is_some());
-    assert!(outcome.results[1].is_none());
-    assert!(outcome.results[2].is_none());
-    assert!(outcome.results[3].is_some());
-
-    // Unaffected seeds ship byte-identical traces vs an unsupervised
-    // run: supervision and retry never alter the data.
-    for (i, seed) in [(0usize, OK), (3usize, FLAKY)] {
-        let supervised = export_trace(&outcome.results[i].as_ref().unwrap().repository);
-        let solo = export_trace(&campaign(seed).repository);
-        assert_eq!(supervised, solo, "seed {seed} trace differs");
-    }
-
-    // Pipeline chaos on the surviving trace: 5 % of lines garbled. The
-    // strict importer aborts; the lenient importer quarantines exactly
-    // the damaged lines and keeps the rest analyzable.
-    let trace = export_trace(&outcome.results[0].as_ref().unwrap().repository);
+    // Pipeline chaos on the trace: 5 % of lines garbled. The strict
+    // importer aborts; the lenient importer quarantines exactly the
+    // damaged lines and keeps the rest analyzable.
+    let trace = export_trace(&result.repository);
     assert!(
         trace.lines().count() >= 200,
         "campaign too quiet to corrupt meaningfully: {} lines",

@@ -65,12 +65,15 @@ fn campaign_json_writes_export_and_metrics() {
 #[test]
 fn degenerate_input_is_rejected_with_typed_errors() {
     let overflowing_hours = (u64::MAX / 3600 + 1).to_string();
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["campaign", "--hours", "0"], "config"),
+        (&["campaign", "--hour", "24"], "usage"),
         (&["campaign", "--hours", &overflowing_hours], "usage"),
         (&["table4", "--seeds", "0"], "config"),
         (&["table4", "--hours", "0"], "config"),
         (&["table4", "--hours", &overflowing_hours], "usage"),
+        (&["table4", "--max-retries", "1"], "usage"),
+        (&["table4", "--seed-timeout", "60"], "usage"),
         (&["markov", "--seeds", "0"], "config"),
         (&["markov", "--hours", &overflowing_hours], "usage"),
     ];

@@ -1,16 +1,16 @@
 //! Acceptance for the `btpan-obs` registry: during a campaign the
 //! `btpan_recovery_*` counter families carry a live, exact copy of the
 //! paper's Table 3 bookkeeping, and counters stay exact when hammered
-//! from the supervisor's worker threads.
+//! from the seed pool's worker threads.
 //!
 //! These tests assert *exact* global-registry values, so they live in
 //! their own integration-test binary (own OS process) and serialize on
 //! [`btpan_obs::testing::exclusive`].
 
 use btpan::prelude::*;
-use btpan::{run_supervised, SupervisorConfig};
+use btpan::run_seeds;
 use btpan_faults::Sira;
-use btpan_obs::{testing, Registry};
+use btpan_obs::testing;
 use std::collections::BTreeMap;
 
 /// One campaign's `result.recoveries` (the batch Table 3 input) must
@@ -62,44 +62,31 @@ fn campaign_recovery_counters_are_a_live_table3() {
     );
 }
 
-/// Loom-free concurrency stress: supervisor worker threads increment
-/// shared and per-label counters concurrently; every increment must
-/// land (relaxed atomics are still atomic).
+/// Loom-free concurrency stress: the seed pool's worker threads bump
+/// the shared campaign counters concurrently; every increment must land
+/// (relaxed atomics are still atomic), and the pool's own
+/// instrumentation must account for every seed.
 #[test]
 fn supervisor_worker_counters_sum_exactly() {
-    const SEEDS: u64 = 32;
-    const PER_SEED: u64 = 10_000;
+    const SEEDS: u64 = 6;
     let guard = testing::exclusive();
-    let seeds: Vec<u64> = (0..SEEDS).collect();
-    let outcome = run_supervised(&seeds, &SupervisorConfig::default(), |seed| {
-        let total = Registry::global().counter("btpan_test_stress_total");
-        let lane = (seed % 4).to_string();
-        let shard =
-            Registry::global().counter_with("btpan_test_stress_lane_total", &[("lane", &lane)]);
-        for _ in 0..PER_SEED {
-            total.inc();
-            shard.inc();
-        }
-        seed
+    let seeds: Vec<u64> = (1..=SEEDS).collect();
+    let results = run_seeds(&seeds, |seed| {
+        CampaignConfig::paper(seed, WorkloadKind::Random, RecoveryPolicy::Siras)
+            .duration(SimDuration::from_secs(600))
     });
-    assert_eq!(outcome.results.iter().flatten().count(), SEEDS as usize);
+    assert_eq!(results.len(), seeds.len());
 
     let snap = guard.registry().snapshot();
-    assert_eq!(
-        snap.counter("btpan_test_stress_total"),
-        Some(SEEDS * PER_SEED)
-    );
-    assert_eq!(
-        snap.counter_family_sum("btpan_test_stress_lane_total"),
-        SEEDS * PER_SEED
-    );
-    // The supervisor's own instrumentation is exact too: one attempt
-    // per seed, every worker timed, and nobody left marked busy.
+    let cycles: u64 = results.iter().map(|r| r.cycles_run).sum();
+    assert!(cycles > 0);
+    assert_eq!(snap.counter("btpan_campaign_cycles_total"), Some(cycles));
+    // One attempt per seed, every seed timed, and nobody left marked
+    // busy.
     assert_eq!(snap.counter("btpan_supervisor_attempts_total"), Some(SEEDS));
-    assert_eq!(snap.counter("btpan_supervisor_retries_total"), Some(0));
     assert_eq!(snap.gauge("btpan_supervisor_workers_busy"), Some(0));
     let timings = snap
         .histogram("btpan_supervisor_seed_duration_us")
-        .expect("worker durations observed");
+        .expect("seed durations observed");
     assert_eq!(timings.count, SEEDS);
 }
