@@ -84,12 +84,16 @@ pub fn export_trace(repo: &Repository) -> String {
 /// Buffer-reusing variant of [`export_trace`]: clears `out` and writes
 /// the trace into it, so periodic exporters (checkpointing, streaming
 /// relays) keep one buffer alive instead of reallocating per export.
+/// Each record is written straight into the buffer, with no per-line
+/// `String`.
 pub fn export_trace_into(repo: &Repository, out: &mut String) {
-    out.clear();
+    let mut buf = std::mem::take(out).into_bytes();
+    buf.clear();
     for r in repo.records() {
-        out.push_str(&serde_json::to_string(&r).expect("records serialize"));
-        out.push('\n');
+        serde_json::to_writer(&mut buf, &r).expect("records serialize");
+        buf.push(b'\n');
     }
+    *out = String::from_utf8(buf).expect("JSON output is UTF-8");
 }
 
 /// Parses a JSONL trace back into records, all-or-nothing.

@@ -2,11 +2,13 @@
 //! pipeline (duplicate idempotency, out-of-order repair).
 
 use btpan_collect::coalesce::coalesce;
-use btpan_collect::entry::{LogRecord, SystemLogEntry};
+use btpan_collect::entry::{LogRecord, SystemLogEntry, TestLogEntry, WorkloadTag};
 use btpan_collect::merge::merge_records;
-use btpan_collect::trace::{export_trace, import_trace_lenient, repository_from_records};
+use btpan_collect::trace::{
+    export_trace, import_trace, import_trace_lenient, repository_from_records,
+};
 use btpan_collect::Repository;
-use btpan_faults::SystemFault;
+use btpan_faults::{SystemFault, UserFailure};
 use btpan_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -21,6 +23,20 @@ fn records_from(times: &[u64]) -> Vec<LogRecord> {
                 i as u64,
                 SystemLogEntry::new(SimTime::from_secs(t), 1, SystemFault::HciCommandTimeout),
             )
+        })
+        .collect()
+}
+
+/// A string of arbitrary code points. The top two bits of each draw
+/// pick the range (ASCII with its control bytes, two-byte, BMP, any
+/// plane) so that escapes and every UTF-8 width turn up often;
+/// surrogates, which are not chars, become U+FFFD.
+fn string_from(draws: &[u32]) -> String {
+    const RANGES: [u32; 4] = [0x80, 0x800, 0x1_0000, 0x11_0000];
+    draws
+        .iter()
+        .map(|&d| {
+            char::from_u32((d & 0x3fff_ffff) % RANGES[(d >> 30) as usize]).unwrap_or('\u{fffd}')
         })
         .collect()
 }
@@ -111,6 +127,37 @@ proptest! {
         for w in imported.windows(2) {
             prop_assert!((w[0].at, w[0].seq) < (w[1].at, w[1].seq));
         }
+        prop_assert_eq!(export_trace(&repository_from_records(&imported)), trace);
+    }
+
+    /// Free-text fields of any content survive the trace codec:
+    /// `import(export(r)) == r`, and `export → import → export` is byte
+    /// for byte the first export.
+    #[test]
+    fn free_text_round_trips_through_the_trace(message in prop::collection::vec(any::<u32>(), 0..48),
+                                               app in prop::collection::vec(any::<u32>(), 0..24),
+                                               packet_type in prop::collection::vec(any::<u32>(), 0..8),
+                                               t in 0u64..10_000,
+                                               distance_m in 0.0f64..1e6) {
+        let test = TestLogEntry {
+            at: SimTime::from_secs(t),
+            node: 2,
+            failure: UserFailure::PacketLoss,
+            workload: WorkloadTag::Realistic,
+            packet_type: Some(string_from(&packet_type)),
+            packets_sent_before: Some(t),
+            app: Some(string_from(&app)),
+            distance_m,
+            idle_before_s: None,
+        };
+        let system = SystemLogEntry {
+            message: string_from(&message),
+            ..SystemLogEntry::new(SimTime::from_secs(t + 1), 2, SystemFault::HciCommandTimeout)
+        };
+        let records = vec![LogRecord::from_test(0, test), LogRecord::from_system(1, system)];
+        let trace = export_trace(&repository_from_records(&records));
+        let imported = import_trace(&trace).expect("an exported trace imports");
+        prop_assert_eq!(&imported, &records);
         prop_assert_eq!(export_trace(&repository_from_records(&imported)), trace);
     }
 }

@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --release --workspace
+# The vendored serde/serde_json stand-ins are path patches, not
+# workspace members, so `--workspace` skips their tests; every trace
+# goes through this codec.
+cargo test -q --release -p serde -p serde_json
 cargo clippy --release --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Observability overhead contract: disabled-registry instrumentation

@@ -6,7 +6,8 @@ use btpan::cli::run_cli;
 use btpan::prelude::*;
 use serde_json::Value;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn btpan(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_btpan"))
@@ -112,5 +113,56 @@ fn stream_json_is_byte_identical_across_runs() {
         second.stdout.as_slice(),
         "peak residency included"
     );
+    std::fs::remove_file(&trace).ok();
+}
+
+/// Runs `btpan` like [`btpan`], but kills it and fails once `limit` has
+/// passed, so a super-linear regression fails instead of hanging.
+fn btpan_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_btpan"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("btpan binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("btpan waits").is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`btpan {}` took longer than {limit:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("btpan output")
+}
+
+#[test]
+fn a_multi_megabyte_message_decodes_in_linear_time() {
+    // One record whose message is 4 MB of text with a two-byte char
+    // and an escape in every 16 bytes. Decoding used to re-scan the
+    // rest of the line per character: minutes for this one line.
+    let message = "SDP é failure\\t".repeat((4 << 20) / 16);
+    let line = format!(
+        r#"{{"at":180917576,"node":1,"seq":24,"payload":{{"System":{{"at":180917576,"node":1,"fault":"SdpServiceUnavailable","message":"{message}"}}}}}}"#
+    );
+    let trace = temp_path("long_message.jsonl");
+    std::fs::write(&trace, format!("{line}\n")).expect("trace written");
+    let trace_arg = trace.to_str().expect("utf8 temp path");
+    for (args, records_key) in [
+        (["analyze", trace_arg, "--json"], "records"),
+        (["stream", trace_arg, "--json"], "records_emitted"),
+    ] {
+        let out = btpan_within(&args, Duration::from_secs(60));
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        let envelope: Value = serde_json::from_str(stdout.trim()).expect("envelope parses");
+        let records = envelope.get("data").and_then(|d| d.get(records_key));
+        assert_eq!(
+            records.and_then(Value::as_u64),
+            Some(1),
+            "{args:?}: {stdout}"
+        );
+    }
     std::fs::remove_file(&trace).ok();
 }
