@@ -23,6 +23,12 @@
 //! few hundred thousand payloads per packet type. The campaign layer
 //! samples cycle outcomes from the profile; `repro_fig3a` demonstrates
 //! the two agree.
+//!
+//! A link memoizes each slot's header/ACK and payload success factors
+//! per `(packet type, BER)`: the factors are pure functions of that
+//! pair, computed by the same expressions on a miss, and the payload
+//! product is multiplied in the same slot order, so every probability
+//! and every RNG comparison is bit-identical to computing them afresh.
 
 use crate::channel::{ChannelModel, ChannelState};
 use crate::crc;
@@ -149,6 +155,42 @@ impl TransferOutcome {
 /// Longest ACL packet in slots (DM5/DH5).
 const MAX_PACKET_SLOTS: usize = 5;
 
+/// Memo entries per link: a Gilbert–Elliott channel yields two BERs, a
+/// composite channel with one interferer four.
+const MEMO_ENTRIES: usize = 4;
+
+/// The success factors of one slot at one BER for one packet type.
+#[derive(Debug, Clone, Copy)]
+struct SlotFactors {
+    packet_type: PacketType,
+    ber_bits: u64,
+    /// P(an 18-bit header, or the ACK, survives repetition FEC).
+    header_ok: f64,
+    /// P(the slot's share of the payload bits arrives intact).
+    payload_ok: f64,
+}
+
+impl SlotFactors {
+    fn compute(packet_type: PacketType, ber: f64) -> Self {
+        let hdr_bit_err = fec::repetition_error_probability(ber);
+        let header_ok = (1.0 - hdr_bit_err).powi(HEADER_BITS as i32);
+        let payload_bits = packet_type.payload_bits_on_air();
+        let bits_per_slot = payload_bits as f64 / packet_type.slots() as f64;
+        let payload_ok = if packet_type.fec_coded() {
+            let codewords = bits_per_slot / fec::CODE_BITS as f64;
+            fec::hamming_block_success_probability(ber).powf(codewords)
+        } else {
+            (1.0 - ber).powf(bits_per_slot)
+        };
+        SlotFactors {
+            packet_type,
+            ber_bits: ber.to_bits(),
+            header_ok,
+            payload_ok,
+        }
+    }
+}
+
 /// An ACL link between a master and one slave.
 #[derive(Debug)]
 pub struct AclLink<C> {
@@ -161,6 +203,9 @@ pub struct AclLink<C> {
     scratch_body: Vec<u8>,
     scratch_words: Vec<u16>,
     scratch_decoded: Vec<u8>,
+    /// Memoized [`SlotFactors`], keyed by packet type and BER bits.
+    memo: [Option<SlotFactors>; MEMO_ENTRIES],
+    memo_next: usize,
 }
 
 impl<C: ChannelModel> AclLink<C> {
@@ -175,6 +220,8 @@ impl<C: ChannelModel> AclLink<C> {
             scratch_body: Vec::new(),
             scratch_words: Vec::new(),
             scratch_decoded: Vec::new(),
+            memo: [None; MEMO_ENTRIES],
+            memo_next: 0,
         }
     }
 
@@ -195,40 +242,25 @@ impl<C: ChannelModel> AclLink<C> {
 
     /// Simulates one transmission attempt of a full-size payload.
     pub fn attempt(&mut self, rng: &mut SimRng) -> AttemptResult {
-        let pt = self.cfg.packet_type;
+        let n_slots = self.cfg.packet_type.slots();
         let ch = self.hop.channel(self.slot_cursor);
-        let n_slots = pt.slots();
 
-        // Gather per-slot BERs over the packet's slots (same RF channel —
-        // multi-slot packets do not re-hop). Longest packet is 5 slots,
-        // so a stack array replaces the per-attempt heap allocation; the
-        // RNG draw order is unchanged.
-        debug_assert!(n_slots as usize <= MAX_PACKET_SLOTS);
-        let mut slot_bers = [0.0f64; MAX_PACKET_SLOTS];
-        let slot_bers = &mut slot_bers[..n_slots as usize];
+        // The packet's slots share one RF channel (multi-slot packets do
+        // not re-hop). The header rides the first slot; the payload bits
+        // spread evenly over all of them.
         let mut saw_bad_state = false;
-        for (i, ber) in slot_bers.iter_mut().enumerate() {
+        let mut p_header_ok = 1.0;
+        let mut p_payload_ok = 1.0;
+        for i in 0..n_slots {
             if self.channel.state() == ChannelState::Bad {
                 saw_bad_state = true;
             }
-            *ber = self.channel.slot_ber(self.slot_cursor + i as u64, ch, rng);
-        }
-
-        // Header: first slot, repetition-coded, 18 bits.
-        let hdr_bit_err = fec::repetition_error_probability(slot_bers[0]);
-        let p_header_ok = (1.0 - hdr_bit_err).powi(HEADER_BITS as i32);
-
-        // Payload bits spread evenly over the packet's slots.
-        let payload_bits = pt.payload_bits_on_air();
-        let bits_per_slot = payload_bits as f64 / n_slots as f64;
-        let mut p_payload_ok = 1.0;
-        for &ber in slot_bers.iter() {
-            if pt.fec_coded() {
-                let codewords = bits_per_slot / fec::CODE_BITS as f64;
-                p_payload_ok *= fec::hamming_block_success_probability(ber).powf(codewords);
-            } else {
-                p_payload_ok *= (1.0 - ber).powf(bits_per_slot);
+            let ber = self.channel.slot_ber(self.slot_cursor + i, ch, rng);
+            let factors = self.factors(ber);
+            if i == 0 {
+                p_header_ok = factors.header_ok;
             }
+            p_payload_ok *= factors.payload_ok;
         }
 
         // Return (ACK) slot.
@@ -239,8 +271,7 @@ impl<C: ChannelModel> AclLink<C> {
         let ack_ber = self
             .channel
             .slot_ber(self.slot_cursor + n_slots, ack_ch, rng);
-        let ack_bit_err = fec::repetition_error_probability(ack_ber);
-        let p_ack_ok = (1.0 - ack_bit_err).powi(HEADER_BITS as i32);
+        let p_ack_ok = self.factors(ack_ber).header_ok;
 
         self.slot_cursor += n_slots + 1;
 
@@ -261,6 +292,25 @@ impl<C: ChannelModel> AclLink<C> {
             return AttemptResult::AckLost;
         }
         AttemptResult::Delivered
+    }
+
+    /// The link factors of one slot at `ber` under the current packet
+    /// type, from the memo or computed and stored (evicting round-robin).
+    fn factors(&mut self, ber: f64) -> SlotFactors {
+        let packet_type = self.cfg.packet_type;
+        let ber_bits = ber.to_bits();
+        if let Some(hit) = self
+            .memo
+            .iter()
+            .flatten()
+            .find(|f| f.ber_bits == ber_bits && f.packet_type == packet_type)
+        {
+            return *hit;
+        }
+        let factors = SlotFactors::compute(packet_type, ber);
+        self.memo[self.memo_next] = Some(factors);
+        self.memo_next = (self.memo_next + 1) % self.memo.len();
+        factors
     }
 
     /// Transfers `payloads` full-size payloads, aborting at the first

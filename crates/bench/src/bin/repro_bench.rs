@@ -66,11 +66,11 @@ struct Report {
 }
 
 fn bench_campaign(seeds: &[u64], hours: u64) -> CampaignBench {
-    // Cold cost the memo removes: one uncached slot-fidelity
-    // calibration, the dominant per-seed cost before this PR.
+    // Cold cost the memo removes: the process's first calibration is a
+    // memo miss, so this times one slot-fidelity calibration.
     let start = Instant::now();
     let mut rng = SimRng::seed_from(seeds[0]).fork("loss-model");
-    black_box(LossModel::calibrate_uncached(1.68e-6, &mut rng));
+    black_box(LossModel::calibrate(1.68e-6, &mut rng));
     let cold_calibration_s = start.elapsed().as_secs_f64();
 
     let policies = [

@@ -126,9 +126,8 @@ impl LossModel {
         model
     }
 
-    /// The calibration itself, bypassing the memo (for benchmarks and
-    /// for callers that mutate channel constants between runs).
-    pub fn calibrate_uncached(base_drop: f64, rng: &mut SimRng) -> Self {
+    /// The calibration itself, behind [`Self::calibrate`]'s memo.
+    fn calibrate_uncached(base_drop: f64, rng: &mut SimRng) -> Self {
         let mut raw = [0.0f64; 6];
         for (i, pt) in PacketType::ALL.iter().enumerate() {
             // Deep-fade bursts (BER ~0.12): severe enough that FEC
@@ -1297,6 +1296,62 @@ mod tests {
         let other = LossModel::calibrate(3e-6, &mut b);
         assert_eq!(other.base_drop, 3e-6);
         assert_eq!(other.type_factor, uncached.type_factor);
+    }
+
+    /// Golden calibration bits: `type_factor` as `f64::to_bits`, per
+    /// campaign seed and `base_drop`, forked as `Campaign::run` forks.
+    /// Any change to the slot-level link that is not bit-identical
+    /// (RNG draw order, factor arithmetic, payload count) shows here.
+    #[test]
+    fn calibration_type_factors_are_pinned() {
+        const GOLDEN: [(u64, [u64; 6]); 3] = [
+            (
+                7,
+                [
+                    0x3ff196fa6f044890,
+                    0x3ff05973594ba869,
+                    0x3ff03be07e2ca88e,
+                    0x3ff062ca253a7ff2,
+                    0x3fecac7e2351c198,
+                    0x3fed8fbe305ae8ea,
+                ],
+            ),
+            (
+                29,
+                [
+                    0x3ff06d0cd0dcfcfc,
+                    0x3ff221a60f0027d7,
+                    0x3fef356f8ef7644c,
+                    0x3ff02bb8389dcc87,
+                    0x3fecd7ef1ea13f4a,
+                    0x3fee1cfe2d2055da,
+                ],
+            ),
+            (
+                1234,
+                [
+                    0x3ff1c6a05f9092eb,
+                    0x3ff178e7df955512,
+                    0x3fefa2d080ace38f,
+                    0x3ff03ed9c5893696,
+                    0x3fec93434c9e2ae7,
+                    0x3fed9437907989a8,
+                ],
+            ),
+        ];
+        let mut failures = Vec::new();
+        for (seed, bits) in GOLDEN {
+            for base_drop in [1.68e-6, 2e-6] {
+                let mut rng = SimRng::seed_from(seed).fork("loss-model");
+                let model = LossModel::calibrate_uncached(base_drop, &mut rng);
+                assert_eq!(model.base_drop, base_drop);
+                let got = model.type_factor.map(f64::to_bits);
+                if got != bits {
+                    failures.push(format!("seed {seed} base_drop {base_drop}: {got:#018x?}"));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

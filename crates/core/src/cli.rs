@@ -826,7 +826,7 @@ fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
             None => Err(format!("missing field `{key}`")),
         }
     }
-    let v = serde_json::value_from_str(text.trim()).map_err(|e| e.to_string())?;
+    let v = serde_json::from_str::<Value>(text.trim()).map_err(|e| e.to_string())?;
     let schema_version = u64_field(&v, "schema_version")?;
     if schema_version != u64::from(btpan_obs::SNAPSHOT_SCHEMA_VERSION) {
         return Err(format!("unsupported snapshot schema {schema_version}"));
@@ -918,7 +918,7 @@ fn cmd_metrics(args: &[String]) -> Result<CliOutcome, CliError> {
     if has_flag(args, "--prometheus") {
         return Ok(CliOutcome::ok(snapshot.to_prometheus()));
     }
-    let data = serde_json::value_from_str(&snapshot.to_json()).expect("snapshot JSON parses");
+    let data = serde_json::from_str::<Value>(&snapshot.to_json()).expect("snapshot JSON parses");
     Ok(CliOutcome::ok(json_envelope("metrics", data, 0)))
 }
 
@@ -1062,7 +1062,7 @@ mod tests {
             "--json",
         ]))
         .unwrap();
-        let v = serde_json::value_from_str(&out).expect("valid JSON envelope");
+        let v = serde_json::from_str::<Value>(&out).expect("valid JSON envelope");
         assert_eq!(
             v.get("command").and_then(Value::as_str),
             Some("campaign"),
@@ -1334,7 +1334,7 @@ mod tests {
 
     /// Parses one `--json` output line and checks the envelope frame.
     fn envelope(output: &str, command: &str, status: i32) -> Value {
-        let v = serde_json::value_from_str(output.trim()).expect("envelope parses");
+        let v = serde_json::from_str::<Value>(output.trim()).expect("envelope parses");
         assert_eq!(
             v.get("schema_version").and_then(Value::as_u64),
             Some(JSON_SCHEMA_VERSION),

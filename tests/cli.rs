@@ -38,7 +38,7 @@ fn campaign_json_writes_export_and_metrics() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let envelope = serde_json::value_from_str(stdout.trim()).expect("envelope parses");
+    let envelope = serde_json::from_str::<Value>(stdout.trim()).expect("envelope parses");
     assert_eq!(
         envelope.get("command").and_then(Value::as_str),
         Some("campaign")
@@ -165,4 +165,75 @@ fn a_multi_megabyte_message_decodes_in_linear_time() {
         );
     }
     std::fs::remove_file(&trace).ok();
+}
+
+/// Nesting far past the JSON parser's depth limit (128, as in
+/// serde_json) is a bad line or a bad file, never a stack overflow:
+/// every command exits with its typed status, not SIGABRT (134).
+#[test]
+fn deeply_nested_json_is_rejected_not_a_stack_overflow() {
+    let good = temp_path("nest_good.jsonl");
+    let good_arg = good.to_str().expect("utf8 temp path");
+    let exported = btpan(&[
+        "campaign", "--hours", "6", "--seed", "9", "--export", good_arg,
+    ]);
+    assert_eq!(exported.status.code(), Some(0), "{exported:?}");
+    let good_lines: Vec<String> = std::fs::read_to_string(&good)
+        .expect("trace written")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let deep_line = "[".repeat(200_000);
+
+    let deep = temp_path("nest_deep.jsonl");
+    std::fs::write(&deep, format!("{deep_line}\n")).expect("trace written");
+    let deep_arg = deep.to_str().expect("utf8 temp path");
+    let out = btpan(&["analyze", deep_arg]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        stderr.starts_with("trace error: malformed trace line 1: recursion limit exceeded"),
+        "{stderr}"
+    );
+    let out = btpan(&["stream", deep_arg, "--json"]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let envelope: Value =
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).expect("envelope");
+    let status = envelope.get("health").and_then(|h| h.get("status"));
+    assert_eq!(status.and_then(Value::as_str), Some("quarantine"));
+
+    // Lenient import quarantines the deep line and keeps every good one.
+    let mixed = temp_path("nest_mixed.jsonl");
+    let mut lines = good_lines.clone();
+    lines.insert(3, deep_line);
+    std::fs::write(&mixed, lines.join("\n") + "\n").expect("trace written");
+    let mixed_arg = mixed.to_str().expect("utf8 temp path");
+    let out = btpan(&["analyze", mixed_arg, "--lenient-import", "--json"]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let envelope: Value =
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).expect("envelope");
+    let quarantine = envelope.get("data").and_then(|d| d.get("quarantine"));
+    let count = |key: &str| quarantine.and_then(|q| q.get(key)).and_then(Value::as_u64);
+    assert_eq!(count("quarantined"), Some(1), "{envelope:?}");
+    assert_eq!(count("imported"), Some(good_lines.len() as u64));
+
+    // A topology file nested 100 000 objects deep is a ConfigError.
+    let nested = "{\"piconets\":".repeat(100_000);
+    let err = Topology::from_json(&nested).expect_err("deep topology rejected");
+    assert_eq!(err.field, "topology", "{err}");
+    assert!(err.reason.contains("recursion limit exceeded"), "{err}");
+    let topo = temp_path("nest_topology.json");
+    std::fs::write(&topo, &nested).expect("topology written");
+    let topo_arg = topo.to_str().expect("utf8 temp path");
+    let out = btpan(&["campaign", "--hours", "1", "--topology", topo_arg]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        stderr.contains("invalid config field `topology`: malformed JSON: recursion limit"),
+        "{stderr}"
+    );
+
+    for path in [good, deep, mixed, topo] {
+        std::fs::remove_file(path).ok();
+    }
 }

@@ -104,7 +104,8 @@ fn stream_cli_reports_batch_identical_snapshot() {
     let outcome = run_cli(&args(&["stream", path_s, "--json"])).expect("stream runs");
     assert_eq!(outcome.status, 0, "{}", outcome.output);
     // The snapshot rides inside the uniform JSON envelope.
-    let envelope = serde_json::value_from_str(outcome.output.trim()).expect("envelope JSON parses");
+    let envelope = serde_json::from_str::<serde_json::Value>(outcome.output.trim())
+        .expect("envelope JSON parses");
     assert_eq!(
         envelope
             .get("schema_version")
